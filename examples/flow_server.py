@@ -9,9 +9,9 @@ network changes (a capacity upgrade), the server notices the graph's
 version bump, drops the now-stale cached results exactly once, and
 rebuilds — subsequent queries are served against the live network.
 
-Batched columns are bit-identical to one-shot calls, so singles and
-batch columns share one cache namespace: a demand routed inside a
-batch hits later as a single query.
+Each batch column is solved by the same one-shot call a single query
+uses, so singles and batch columns share one cache namespace: a demand
+routed inside a batch hits later as a single query.
 
 Run:  python examples/flow_server.py
 """
@@ -36,7 +36,7 @@ def main() -> None:
 
     server = FlowServer(network, epsilon=0.3, solver="accelerated", rng=72)
     print(f"server up: {server.approximator.num_trees}-tree approximator, "
-          f"solver={server.solver}, max_batch={server.max_batch}")
+          f"solver={server.solver}, epsilon={server.epsilon}")
 
     # --- serve a mixed query stream --------------------------------
     rng = np.random.default_rng(73)

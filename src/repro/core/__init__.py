@@ -3,7 +3,6 @@
 from repro.core.softmax import (
     smax,
     smax_and_gradient,
-    smax_and_gradient_batch,
     smax_gradient,
 )
 from repro.core.approximator import (
@@ -16,11 +15,8 @@ from repro.core.approximator import (
 )
 from repro.core.almost_route import (
     AlmostRouteResult,
-    BatchAlmostRouteResult,
-    BatchRouteWorkspace,
     RouteWorkspace,
     almost_route,
-    almost_route_batch,
 )
 from repro.core.maxflow import (
     ApproxFlow,
@@ -29,10 +25,7 @@ from repro.core.maxflow import (
     min_congestion_flow,
 )
 from repro.core.rounds import RoundEstimate, estimate_rounds
-from repro.core.accelerated import (
-    accelerated_almost_route,
-    accelerated_almost_route_batch,
-)
+from repro.core.accelerated import accelerated_almost_route
 from repro.core.binary_search import (
     BinarySearchMaxFlow,
     max_flow_binary_search,
@@ -41,7 +34,6 @@ from repro.core.binary_search import (
 __all__ = [
     "smax",
     "smax_and_gradient",
-    "smax_and_gradient_batch",
     "smax_gradient",
     "StackedTreeOperator",
     "TreeCongestionApproximator",
@@ -50,11 +42,8 @@ __all__ = [
     "estimate_alpha_st",
     "racke_sample_trees",
     "AlmostRouteResult",
-    "BatchAlmostRouteResult",
-    "BatchRouteWorkspace",
     "RouteWorkspace",
     "almost_route",
-    "almost_route_batch",
     "ApproxFlow",
     "ApproxMaxFlow",
     "max_flow",
@@ -62,7 +51,6 @@ __all__ = [
     "RoundEstimate",
     "estimate_rounds",
     "accelerated_almost_route",
-    "accelerated_almost_route_batch",
     "BinarySearchMaxFlow",
     "max_flow_binary_search",
 ]

@@ -31,26 +31,19 @@ from repro.core.almost_route import (
     SCALE_STEP,
     TARGET_FACTOR,
     AlmostRouteResult,
-    BatchAlmostRouteResult,
-    BatchRouteWorkspace,
     RouteWorkspace,
     _evaluate,
-    _evaluate_batch,
     _gradient_delta,
-    _gradient_delta_batch,
     _rescale_cached,
-    _rescale_masked,
     _sign_step,
-    _sign_step_batch,
 )
 from repro.core.approximator import TreeCongestionApproximator
 from repro.errors import ConvergenceError, GraphError
-from repro.graphs.csr import WIDE_DTYPE
 from repro.graphs.graph import Graph
 from repro.parallel.config import ParallelConfig
-from repro.util.validation import check_demand, check_demand_batch
+from repro.util.validation import check_demand
 
-__all__ = ["accelerated_almost_route", "accelerated_almost_route_batch"]
+__all__ = ["accelerated_almost_route"]
 
 
 def accelerated_almost_route(
@@ -178,174 +171,3 @@ def accelerated_almost_route(
         converged=converged,
     )
 
-
-def accelerated_almost_route_batch(
-    graph: Graph,
-    approximator: TreeCongestionApproximator,
-    demands: np.ndarray,
-    epsilon: float,
-    max_iterations: int | None = None,
-    raise_on_budget: bool = False,
-    workspace: BatchRouteWorkspace | None = None,
-    parallel: "ParallelConfig | None" = None,
-    initial_flows: np.ndarray | None = None,
-) -> BatchAlmostRouteResult:
-    """Momentum-accelerated Algorithm 2 on ``Q`` stacked demands.
-
-    Same contract as
-    :func:`repro.core.almost_route.almost_route_batch`, with per-query
-    momentum ages, restart-on-increase and look-ahead points. Frozen
-    (converged) columns are kept bit-exact through the buffer rotation
-    by pinning their look-ahead row to the converged flow
-    (``z[q] = f[q]``) and their step to exactly ``0.0``, so the rotated
-    plane carries the final iterate unchanged; every column matches the
-    one-shot :func:`accelerated_almost_route` bit for bit.
-    """
-    if parallel is not None:
-        approximator = approximator.with_parallel(parallel)
-    demands = check_demand_batch(graph, demands)
-    num_queries = demands.shape[0]
-    n = graph.num_nodes
-    m = graph.num_edges
-    if num_queries == 0:
-        return BatchAlmostRouteResult(
-            flows=np.zeros((0, m)),
-            residuals=np.zeros((0, n)),
-            iterations=np.zeros(0, dtype=WIDE_DTYPE),
-            scalings=np.zeros(0, dtype=WIDE_DTYPE),
-            potentials=np.zeros(0),
-            deltas=np.zeros(0),
-            converged=np.zeros(0, dtype=bool),
-        )
-    alpha = max(1.0, float(approximator.alpha))
-    eps = float(epsilon)
-    if not 0 < eps <= 1:
-        raise GraphError(f"epsilon must be in (0, 1], got {epsilon}")
-    ln_n = math.log(max(n, 3))
-    target = TARGET_FACTOR * ln_n / eps
-    if max_iterations is None:
-        max_iterations = int(min(300_000, 200 + 40 * alpha * ln_n / eps**2))
-
-    caps = graph.capacities()
-    tails, heads = graph.edge_index_arrays()
-    ws = BatchRouteWorkspace.ensure(workspace, graph, approximator, num_queries)
-
-    two_alpha = 2.0 * alpha
-    norm_rb = approximator.estimate_batch(demands)
-    active = norm_rb > 0
-    np.multiply(norm_rb, two_alpha, out=ws.kb)
-    np.divide(ws.kb, target, out=ws.kb)
-    safe_kb = np.where(active, ws.kb, 1.0)
-    np.divide(demands, safe_kb[:, None], out=ws.b)
-    ws.b[~active] = 0.0
-    b = ws.b
-    f = ws.flow
-    f_prev = ws.flow_prev
-    z = ws.lookahead
-    if initial_flows is None:
-        f[:] = 0.0
-    else:
-        seeds = np.asarray(initial_flows, dtype=float)
-        if seeds.shape != (num_queries, m):
-            raise GraphError(
-                f"initial_flows has shape {seeds.shape}, expected "
-                f"({num_queries}, {m})"
-            )
-        np.divide(seeds, safe_kb[:, None], out=f)
-        f[~active] = 0.0
-    f_prev[:] = f
-    ws.kf[:] = 1.0
-    ws.scalings[:] = 0
-    ws.iterations[:] = 0
-    ws.potential[:] = 0.0
-    momentum_age = np.zeros(num_queries, dtype=WIDE_DTYPE)
-    last_potential = np.full(num_queries, float("inf"))
-    beta = np.empty(num_queries)
-    live = ws.live
-    live[:] = active
-    ws.converged[:] = ~active
-    potential_out = np.zeros(num_queries)
-    delta_out = np.full(num_queries, float("inf"))
-    delta_out[~active] = 0.0
-    it = 0
-
-    while live.any() and it < max_iterations:
-        potential = _evaluate_batch(
-            ws, graph, approximator, caps, two_alpha, b, f
-        )
-        ws.inner_guard[:] = 0
-        while True:
-            np.less(potential, target, out=ws.mask)
-            ws.mask &= live
-            ws.mask &= ws.inner_guard < MAX_SCALINGS_PER_STEP
-            if not ws.mask.any():
-                break
-            ws.factor[:] = 1.0
-            ws.factor[ws.mask] = SCALE_STEP
-            np.multiply(f, ws.factor[:, None], out=f)
-            np.multiply(f_prev, ws.factor[:, None], out=f_prev)
-            np.multiply(b, ws.factor[:, None], out=b)
-            ws.kf[ws.mask] *= SCALE_STEP
-            ws.scalings[ws.mask] += 1
-            ws.inner_guard[ws.mask] += 1
-            potential = _rescale_masked(ws, ws.mask)
-        potential_out[live] = potential[live]
-        # Per-query momentum restart when the potential went up.
-        np.greater(potential, last_potential, out=ws.mask)
-        ws.mask &= live
-        if ws.mask.any():
-            momentum_age[ws.mask] = 0
-            f_prev[ws.mask] = f[ws.mask]
-        last_potential[live] = potential[live]
-        np.divide(momentum_age, momentum_age + 3.0, out=beta)
-        np.subtract(f, f_prev, out=z)
-        np.multiply(z, beta[:, None], out=z)
-        np.add(z, f, out=z)
-        _evaluate_batch(ws, graph, approximator, caps, two_alpha, b, z)
-        delta = _gradient_delta_batch(
-            ws, approximator, caps, tails, heads, two_alpha
-        )
-        delta_out[live] = delta[live]
-        np.less(delta, eps / 4.0, out=ws.mask)
-        ws.mask &= live
-        if ws.mask.any():
-            ws.iterations[ws.mask] = it
-            ws.converged[ws.mask] = True
-            live &= ~ws.mask
-        # Pin every frozen column's look-ahead row to its converged
-        # flow: the rotation below then writes back exactly f (z − 0.0
-        # is a bit-exact no-op), so frozen iterates survive the swap.
-        frozen = ~live
-        if frozen.any():
-            z[frozen] = f[frozen]
-            if not live.any():
-                break
-        _sign_step_batch(ws, caps, 1.0 + 4.0 * alpha**2)
-        # f_prev ← f, f ← z − step: rotate the plane triple so the
-        # discarded previous-previous iterate receives the new points.
-        np.subtract(z, ws.step, out=f_prev)
-        f, f_prev = f_prev, f
-        momentum_age[live] += 1
-        it += 1
-
-    ws.iterations[live] = it
-    if raise_on_budget and live.any():
-        raise ConvergenceError(
-            f"accelerated AlmostRoute batch: {int(live.sum())} of "
-            f"{num_queries} queries did not converge in "
-            f"{max_iterations} iterations"
-        )
-    unscale = np.divide(ws.kb, ws.kf)
-    flows = f * unscale[:, None]
-    residuals = demands + graph.excess_batch(flows)
-    flows[~active] = 0.0
-    residuals[~active] = demands[~active]
-    return BatchAlmostRouteResult(
-        flows=flows,
-        residuals=residuals,
-        iterations=ws.iterations.copy(),
-        scalings=ws.scalings.copy(),
-        potentials=potential_out,
-        deltas=delta_out,
-        converged=ws.converged.copy(),
-    )

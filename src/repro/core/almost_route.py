@@ -30,6 +30,11 @@ step writes through ``out=``. The 17/16 re-scaling sub-loop exploits
 linearity — ``C⁻¹(sf)`` and ``R(b + Bf)`` both scale by ``s`` — so a
 scaling step re-evaluates only the two soft-maxes instead of paying a
 full residual + R product evaluation.
+
+This loop is the only AlmostRoute descent in the library: multi-demand
+serving (:meth:`repro.serve.FlowServer.route_batch`) solves each
+demand column through it, so a converged column stops costing work the
+moment it converges.
 """
 
 from __future__ import annotations
@@ -40,21 +45,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.approximator import TreeCongestionApproximator
-from repro.core.softmax import smax_and_gradient, smax_and_gradient_batch
+from repro.core.softmax import smax_and_gradient
+# Not called here: the traced benchmark (perfbench/spans.py) wraps the
+# soft-max entry points by this module path, the plane form included.
+from repro.core.softmax import smax_and_gradient_batch  # noqa: F401
 from repro.errors import ConvergenceError, GraphError
-from repro.graphs.csr import WIDE_DTYPE
 from repro.graphs.graph import Graph
 from repro.hotpath import hot_kernel
 from repro.parallel.config import ParallelConfig
-from repro.util.validation import check_demand, check_demand_batch
+from repro.util.validation import check_demand
 
 __all__ = [
     "AlmostRouteResult",
-    "BatchAlmostRouteResult",
-    "BatchRouteWorkspace",
     "RouteWorkspace",
     "almost_route",
-    "almost_route_batch",
 ]
 
 #: Scale-up factor of Algorithm 2 line 5.
@@ -138,96 +142,6 @@ class RouteWorkspace:
         return workspace
 
 
-class BatchRouteWorkspace:
-    """Preallocated ``(Q, ·)`` planes for the batched AlmostRoute loop.
-
-    The multi-query analogue of :class:`RouteWorkspace`: every
-    per-iteration vector becomes a C-contiguous plane with one row per
-    query, sized for one ``(num_queries, graph, approximator)`` triple.
-    Per-query loop state (scale factors, masks, counters) lives here
-    too, so a server can reuse one batch workspace across calls with a
-    fixed batch size without reallocating anything.
-    """
-
-    def __init__(
-        self,
-        graph: Graph,
-        approximator: TreeCongestionApproximator,
-        num_queries: int,
-    ) -> None:
-        m = graph.num_edges
-        n = graph.num_nodes
-        rows = approximator.num_rows
-        q = int(num_queries)
-        if q <= 0:
-            raise GraphError(f"batch workspace needs Q >= 1, got {num_queries}")
-        # Shape-derived only — epoch-independent for the same reason as
-        # RouteWorkspace.shape_key (capacity writes must not flush pools).
-        self.shape_key = (q, m, n, rows)
-        self.num_queries = q
-        # (Q, m) planes
-        self.flow = np.empty((q, m))
-        self.flow_prev = np.empty((q, m))
-        self.lookahead = np.empty((q, m))
-        self.c1 = np.empty((q, m))
-        self.g1 = np.empty((q, m))
-        self.grad = np.empty((q, m))
-        self.step = np.empty((q, m))
-        # (Q, n) planes
-        self.excess = np.empty((q, n))
-        self.residual = np.empty((q, n))
-        self.pi = np.empty((q, n))
-        self.b = np.empty((q, n))
-        # (Q, rows) planes
-        self.y = np.empty((q, rows))
-        self.g2 = np.empty((q, rows))
-        # Soft-max pair scratch planes (one np.exp per plane per call).
-        self.m_scratch = np.empty((q, 2 * m))
-        self.r_scratch = np.empty((q, 2 * rows))
-        # Per-query loop state
-        self.phi1 = np.empty(q)
-        self.phi2 = np.empty(q)
-        self.potential = np.empty(q)
-        self.delta = np.empty(q)
-        self.kf = np.empty(q)
-        self.kb = np.empty(q)
-        self.factor = np.empty(q)
-        self.scale = np.empty(q)
-        self.live = np.empty(q, dtype=bool)
-        self.mask = np.empty(q, dtype=bool)
-        self.converged = np.empty(q, dtype=bool)
-        self.iterations = np.empty(q, dtype=WIDE_DTYPE)
-        self.scalings = np.empty(q, dtype=WIDE_DTYPE)
-        self.inner_guard = np.empty(q, dtype=WIDE_DTYPE)
-
-    @classmethod
-    def ensure(
-        cls,
-        workspace: "BatchRouteWorkspace | None",
-        graph: Graph,
-        approximator: TreeCongestionApproximator,
-        num_queries: int,
-    ) -> "BatchRouteWorkspace":
-        """Return ``workspace`` if it fits, build one if None; raise
-        :class:`GraphError` on shape mismatch (same contract as
-        :meth:`RouteWorkspace.ensure`)."""
-        key = (
-            int(num_queries),
-            graph.num_edges,
-            graph.num_nodes,
-            approximator.num_rows,
-        )
-        if workspace is None:
-            return cls(graph, approximator, num_queries)
-        if workspace.shape_key != key:
-            raise GraphError(
-                "batch workspace shape mismatch: built for (num_queries, "
-                f"num_edges, num_nodes, num_rows)={workspace.shape_key}, "
-                f"but this call needs {key}"
-            )
-        return workspace
-
-
 @hot_kernel
 def _evaluate(
     ws: RouteWorkspace,
@@ -242,8 +156,8 @@ def _evaluate(
 
     Shared verbatim by :func:`almost_route` and
     :func:`~repro.core.accelerated.accelerated_almost_route` so the two
-    solvers can never diverge in fold order (the bit-identity contract
-    of the flat/per-tree paths rides on these exact sequences).
+    solvers can never diverge in fold order (both are pinned to the
+    recorded goldens of ``tests/test_solver_golden.py``).
     """
     graph.excess(flow, out=ws.excess)
     np.add(b, ws.excess, out=ws.residual)
@@ -304,99 +218,6 @@ def _sign_step(ws: RouteWorkspace, caps: np.ndarray, scale: float) -> None:
     np.sign(ws.grad, out=ws.step)
     np.multiply(ws.step, caps, out=ws.step)
     np.multiply(ws.step, scale, out=ws.step)
-
-
-# ----------------------------------------------------------------------
-# Batched (Q, ·) plane forms of the loop helpers. Each mirrors its 1-D
-# counterpart operation for operation — same ufuncs, same contiguous
-# row reductions — so every row of every intermediate is bit-identical
-# to the 1-D helper run on that query alone. Shared with
-# repro.core.accelerated so the two batched solvers cannot diverge.
-# ----------------------------------------------------------------------
-@hot_kernel
-def _evaluate_batch(
-    ws: BatchRouteWorkspace,
-    graph: Graph,
-    approximator: TreeCongestionApproximator,
-    caps: np.ndarray,
-    two_alpha: float,
-    b: np.ndarray,
-    flow: np.ndarray,
-) -> np.ndarray:
-    """Potential of every query at ``flow``; fills ws.c1/g1/y/g2 planes.
-    Returns the per-query potential (a view of ``ws.potential``)."""
-    graph.excess_batch(flow, out=ws.excess)
-    np.add(b, ws.excess, out=ws.residual)
-    np.divide(flow, caps, out=ws.c1)
-    smax_and_gradient_batch(
-        ws.c1, out=ws.g1, scratch=ws.m_scratch, values_out=ws.phi1
-    )
-    approximator.apply_batch(ws.residual, out=ws.y)
-    np.multiply(ws.y, two_alpha, out=ws.y)
-    smax_and_gradient_batch(
-        ws.y, out=ws.g2, scratch=ws.r_scratch, values_out=ws.phi2
-    )
-    np.add(ws.phi1, ws.phi2, out=ws.potential)
-    return ws.potential
-
-
-@hot_kernel
-def _rescale_masked(ws: BatchRouteWorkspace, mask: np.ndarray) -> np.ndarray:
-    """One 17/16 sharpening step on the masked queries' cached soft-max
-    arguments (rows outside ``mask`` multiply by exactly 1.0, which is
-    bit-exact identity), then re-run both soft-maxes on the full
-    planes — unchanged rows recompute to identical bits. Returns the
-    updated per-query potential."""
-    ws.factor[:] = 1.0
-    ws.factor[mask] = SCALE_STEP
-    np.multiply(ws.c1, ws.factor[:, None], out=ws.c1)
-    np.multiply(ws.y, ws.factor[:, None], out=ws.y)
-    smax_and_gradient_batch(
-        ws.c1, out=ws.g1, scratch=ws.m_scratch, values_out=ws.phi1
-    )
-    smax_and_gradient_batch(
-        ws.y, out=ws.g2, scratch=ws.r_scratch, values_out=ws.phi2
-    )
-    np.add(ws.phi1, ws.phi2, out=ws.potential)
-    return ws.potential
-
-
-@hot_kernel
-def _gradient_delta_batch(
-    ws: BatchRouteWorkspace,
-    approximator: TreeCongestionApproximator,
-    caps: np.ndarray,
-    tails: np.ndarray,
-    heads: np.ndarray,
-    two_alpha: float,
-) -> np.ndarray:
-    """Per-query gradient into ws.grad; returns δ_q = Σ_e cap·|grad_q|
-    (a view of ``ws.delta``)."""
-    approximator.apply_transpose_batch(ws.g2, out=ws.pi)
-    np.take(ws.pi, heads, axis=1, out=ws.grad, mode="clip")
-    np.take(ws.pi, tails, axis=1, out=ws.step, mode="clip")
-    np.subtract(ws.grad, ws.step, out=ws.grad)
-    np.multiply(ws.grad, two_alpha, out=ws.grad)
-    np.divide(ws.g1, caps, out=ws.step)
-    np.add(ws.step, ws.grad, out=ws.grad)
-    np.abs(ws.grad, out=ws.step)
-    np.multiply(ws.step, caps, out=ws.step)
-    np.sum(ws.step, axis=1, out=ws.delta)
-    return ws.delta
-
-
-@hot_kernel
-def _sign_step_batch(
-    ws: BatchRouteWorkspace, caps: np.ndarray, denom: float
-) -> None:
-    """Fill ws.step with ``sign(grad)·cap·(δ_q/denom)`` per live query
-    and exactly ``0.0`` on frozen rows (``f -= 0.0`` is a bit-exact
-    no-op, which is what freezes converged columns)."""
-    np.sign(ws.grad, out=ws.step)
-    np.multiply(ws.step, caps, out=ws.step)
-    np.divide(ws.delta, denom, out=ws.scale)
-    np.multiply(ws.step, ws.scale[:, None], out=ws.step)
-    ws.step[~ws.live] = 0.0
 
 
 @dataclass
@@ -555,230 +376,4 @@ def almost_route(
         potential=potential,
         delta=delta,
         converged=converged,
-    )
-
-
-@dataclass
-class BatchAlmostRouteResult:
-    """Outcome of one batched AlmostRoute call over ``Q`` demands.
-
-    Every per-query column is **bit-identical** to the
-    :class:`AlmostRouteResult` of the corresponding one-shot
-    :func:`almost_route` call on the same (graph, approximator, ε)
-    (golden-tested in ``tests/test_batch_route.py``).
-
-    Attributes:
-        flows: ``(Q, m)`` flows for the original (unscaled) demands.
-        residuals: ``(Q, n)`` remaining demands ``b_q + B f_q``.
-        iterations: ``(Q,)`` gradient steps per query.
-        scalings: ``(Q,)`` 17/16 re-scalings per query.
-        potentials: ``(Q,)`` final potential values (scaled problem).
-        deltas: ``(Q,)`` final gradient norms δ.
-        converged: ``(Q,)`` whether δ < ε/4 was reached per query.
-    """
-
-    flows: np.ndarray
-    residuals: np.ndarray
-    iterations: np.ndarray
-    scalings: np.ndarray
-    potentials: np.ndarray
-    deltas: np.ndarray
-    converged: np.ndarray
-
-    @property
-    def num_queries(self) -> int:
-        return self.flows.shape[0]
-
-    def query(self, q: int) -> AlmostRouteResult:
-        """Extract query ``q`` as an independent one-shot result
-        (arrays are copied, so the extracted result outlives any reuse
-        of the batch buffers — what the serving result cache stores)."""
-        return AlmostRouteResult(
-            flow=self.flows[q].copy(),
-            residual=self.residuals[q].copy(),
-            iterations=int(self.iterations[q]),
-            scalings=int(self.scalings[q]),
-            potential=float(self.potentials[q]),
-            delta=float(self.deltas[q]),
-            converged=bool(self.converged[q]),
-        )
-
-
-def almost_route_batch(
-    graph: Graph,
-    approximator: TreeCongestionApproximator,
-    demands: np.ndarray,
-    epsilon: float,
-    max_iterations: int | None = None,
-    raise_on_budget: bool = False,
-    workspace: BatchRouteWorkspace | None = None,
-    parallel: ParallelConfig | None = None,
-    initial_flows: np.ndarray | None = None,
-) -> BatchAlmostRouteResult:
-    """Run Algorithm 2 on ``Q`` stacked demands at once.
-
-    The soft-max/gradient loop runs over ``(Q, ·)`` planes: one
-    excess/R/Rᵀ product batch and one fused soft-max plane per
-    iteration serve every query, amortizing each ufunc dispatch and
-    every gather/cumsum/scatter across the batch. Per-query step sizes
-    and the 17/16 re-scaling sub-loop are **masked** iteration: a
-    converged column freezes (its step is exactly ``0.0`` and its
-    re-scale factor exactly ``1.0`` — both bit-exact identities) while
-    live columns keep stepping, so each column replays precisely the
-    arithmetic of its one-shot :func:`almost_route` call and the
-    results are bit-identical per query.
-
-    Args:
-        graph: The capacitated graph.
-        approximator: The congestion approximator R (with its α).
-        demands: ``(Q, n)`` plane of demand vectors (each sums to zero).
-        epsilon: Target accuracy ε (shared by the batch).
-        max_iterations: Per-query gradient-step budget (shared).
-        raise_on_budget: If True, raise :class:`ConvergenceError` when
-            any query exhausts the budget.
-        workspace: Optional :class:`BatchRouteWorkspace` sized for
-            ``(Q, graph, approximator)``; mismatched shapes raise
-            :class:`~repro.errors.GraphError`.
-        parallel: Optional sharded-execution config for the batched R
-            products (results are bit-identical either way).
-        initial_flows: Optional ``(Q, m)`` plane of warm-start seeds in
-            original units (see :func:`almost_route`'s ``initial_flow``;
-            per-column bit-identity with the one-shot warm start is
-            preserved — the seed scaling is a single per-row division
-            by the same ``kb``).
-
-    Returns:
-        A :class:`BatchAlmostRouteResult` with one column per query.
-    """
-    if parallel is not None:
-        approximator = approximator.with_parallel(parallel)
-    demands = check_demand_batch(graph, demands)
-    num_queries = demands.shape[0]
-    n = graph.num_nodes
-    m = graph.num_edges
-    if num_queries == 0:
-        zero = np.zeros(0)
-        return BatchAlmostRouteResult(
-            flows=np.zeros((0, m)),
-            residuals=np.zeros((0, n)),
-            iterations=np.zeros(0, dtype=WIDE_DTYPE),
-            scalings=np.zeros(0, dtype=WIDE_DTYPE),
-            potentials=zero,
-            deltas=zero.copy(),
-            converged=np.zeros(0, dtype=bool),
-        )
-    alpha = max(1.0, float(approximator.alpha))
-    eps = float(epsilon)
-    if not 0 < eps <= 1:
-        raise GraphError(f"epsilon must be in (0, 1], got {epsilon}")
-    ln_n = math.log(max(n, 3))
-    target = TARGET_FACTOR * ln_n / eps
-    if max_iterations is None:
-        max_iterations = int(
-            min(300_000, 200 + 40 * alpha**2 * ln_n / eps**3)
-        )
-
-    caps = graph.capacities()
-    tails, heads = graph.edge_index_arrays()
-    ws = BatchRouteWorkspace.ensure(workspace, graph, approximator, num_queries)
-
-    two_alpha = 2.0 * alpha
-    norm_rb = approximator.estimate_batch(demands)
-    active = norm_rb > 0
-    # Line 1 per query: scale so that 2α‖Rb_q‖∞ = target. Inactive
-    # (zero-demand) queries never enter the loop; their b rows are
-    # zeroed so the shared plane passes stay finite.
-    np.multiply(norm_rb, two_alpha, out=ws.kb)
-    np.divide(ws.kb, target, out=ws.kb)
-    safe_kb = np.where(active, ws.kb, 1.0)
-    np.divide(demands, safe_kb[:, None], out=ws.b)
-    ws.b[~active] = 0.0
-    b = ws.b
-    f = ws.flow
-    if initial_flows is None:
-        f[:] = 0.0
-    else:
-        seeds = np.asarray(initial_flows, dtype=float)
-        if seeds.shape != (num_queries, m):
-            raise GraphError(
-                f"initial_flows has shape {seeds.shape}, expected "
-                f"({num_queries}, {m})"
-            )
-        np.divide(seeds, safe_kb[:, None], out=f)
-        f[~active] = 0.0
-    ws.kf[:] = 1.0
-    ws.scalings[:] = 0
-    ws.iterations[:] = 0
-    ws.potential[:] = 0.0
-    ws.delta[:] = 0.0
-    live = ws.live
-    live[:] = active
-    ws.converged[:] = ~active  # zero-norm queries count as converged
-    potential_out = np.zeros(num_queries)
-    delta_out = np.full(num_queries, float("inf"))
-    delta_out[~active] = 0.0
-    it = 0
-
-    while live.any() and it < max_iterations:
-        potential = _evaluate_batch(
-            ws, graph, approximator, caps, two_alpha, b, f
-        )
-        # Lines 4–5: keep every live query's soft-max sharp. Masked
-        # rows rescale by 17/16; everyone else multiplies by exactly
-        # 1.0 (bit-exact identity), and the full-plane soft-max
-        # recompute reproduces unchanged rows to identical bits.
-        ws.inner_guard[:] = 0
-        while True:
-            np.less(potential, target, out=ws.mask)
-            ws.mask &= live
-            ws.mask &= ws.inner_guard < MAX_SCALINGS_PER_STEP
-            if not ws.mask.any():
-                break
-            ws.factor[:] = 1.0
-            ws.factor[ws.mask] = SCALE_STEP
-            np.multiply(f, ws.factor[:, None], out=f)
-            np.multiply(b, ws.factor[:, None], out=b)
-            ws.kf[ws.mask] *= SCALE_STEP
-            ws.scalings[ws.mask] += 1
-            ws.inner_guard[ws.mask] += 1
-            potential = _rescale_masked(ws, ws.mask)
-        potential_out[live] = potential[live]
-        delta = _gradient_delta_batch(
-            ws, approximator, caps, tails, heads, two_alpha
-        )
-        delta_out[live] = delta[live]
-        np.less(delta, eps / 4.0, out=ws.mask)
-        ws.mask &= live
-        if ws.mask.any():
-            ws.iterations[ws.mask] = it
-            ws.converged[ws.mask] = True
-            live &= ~ws.mask
-            if not live.any():
-                break
-        _sign_step_batch(ws, caps, 1.0 + 4.0 * alpha**2)
-        np.subtract(f, ws.step, out=f)
-        it += 1
-
-    ws.iterations[live] = it
-    if raise_on_budget and live.any():
-        raise ConvergenceError(
-            f"AlmostRoute batch: {int(live.sum())} of {num_queries} "
-            f"queries did not converge in {max_iterations} iterations"
-        )
-
-    unscale = np.divide(ws.kb, ws.kf)
-    flows = f * unscale[:, None]
-    residuals = demands + graph.excess_batch(flows)
-    # Inactive queries return their demand untouched (matches the
-    # one-shot zero-norm early return bit for bit, -0.0 included).
-    flows[~active] = 0.0
-    residuals[~active] = demands[~active]
-    return BatchAlmostRouteResult(
-        flows=flows,
-        residuals=residuals,
-        iterations=ws.iterations.copy(),
-        scalings=ws.scalings.copy(),
-        potentials=potential_out,
-        deltas=delta_out,
-        converged=ws.converged.copy(),
     )

@@ -12,28 +12,21 @@ Everything is computed in log-space with max-subtraction so the
 
 :func:`smax_and_gradient` is the per-iteration form: with ``out=`` and
 ``scratch=`` buffers it performs no allocation, which the AlmostRoute
-workspace relies on. The preferred scratch is one **contiguous pair
-buffer** of shape ``(2k,)``: both exponential families ``e^{y−m}`` and
-``e^{−y−m}`` are then evaluated by a *single* ``np.exp`` ufunc call
-over the stacked buffer (the two-call form paid a second dispatch +
-loop startup for the same element count — measurably so, since the
-soft-max is ~a quarter of every AlmostRoute gradient step; see
-``benchmarks/test_bench_gradient.py``). A legacy ``(k,)``-shaped
-scratch still selects the split two-call path. All paths — fused,
-split, unbuffered — execute the identical per-element operations and
-the identical two-half summation fold, so results are bit-identical
-(golden-tested in ``tests/test_softmax.py``).
+workspace relies on. The scratch is one **contiguous pair buffer** of
+shape ``(2k,)``: both exponential families ``e^{y−m}`` and ``e^{−y−m}``
+are evaluated by a *single* ``np.exp`` ufunc call over the stacked
+buffer (the two-call form paid a second dispatch + loop startup for the
+same element count — measurably so, since the soft-max is ~a quarter of
+every AlmostRoute gradient step; see ``benchmarks/test_bench_gradient.py``).
+Any other scratch shape is a :class:`~repro.errors.GraphError`. The
+buffered and unbuffered calls execute the identical per-element
+operations and the identical two-half summation fold, so results are
+bit-identical (golden-tested in ``tests/test_softmax.py``).
 
-:func:`smax_and_gradient_batch` is the multi-query plane form: ``Q``
-argument rows evaluated by the same fused pair-buffer sequence over a
-``(Q, 2k)`` scratch plane — one ``np.exp`` dispatch for *all* queries.
-Every per-row operation (max-subtraction, the stacked exponential, the
-two-half row sum, the normalized difference) reduces over the
-contiguous last axis exactly as the 1-D path reduces its contiguous
-vector, so each row of the batched result is **bit-identical** to
-:func:`smax_and_gradient` on that row alone — the contract the batched
-AlmostRoute loop (:func:`repro.core.almost_route.almost_route_batch`)
-rides on, golden-tested per row in ``tests/test_softmax.py``.
+:func:`smax_and_gradient_batch` is a row-by-row loop over a ``(Q, k)``
+plane; each row is one :func:`smax_and_gradient` call. The solvers do
+not use it; it stays because the traced benchmark (perfbench/spans.py)
+wraps it by name.
 """
 
 from __future__ import annotations
@@ -87,12 +80,13 @@ def smax_and_gradient(
     Args:
         y: Argument vector of length ``k``.
         out: Optional buffer (shape of ``y``) receiving the gradient.
-        scratch: Optional work buffer. Shape ``(2k,)`` selects the
-            fused path — both exponential halves live in the one
-            buffer and a single ``np.exp`` call evaluates them; shape
-            ``(k,)`` selects the legacy split path. With ``out`` and a
-            pair scratch the call allocates nothing. All paths are
-            bit-identical.
+        scratch: Optional ``(2k,)`` pair buffer: both exponential halves
+            live in it and a single ``np.exp`` call evaluates them. With
+            ``out`` and ``scratch`` the call allocates nothing.
+
+    Raises:
+        GraphError: If a buffer aliases ``y`` or ``scratch`` is not
+            shaped ``(2k,)``.
     """
     y = np.asarray(y, dtype=float)
     if y.size == 0:
@@ -107,22 +101,13 @@ def smax_and_gradient(
         if buf is not None and np.may_share_memory(buf, y):
             raise GraphError(f"{name} buffer must not alias y")
     k = y.size
+    if scratch is not None and scratch.shape != (2 * k,):
+        # A (k,) buffer would slice into an empty second half and
+        # return a wrong gradient without any error.
+        raise GraphError(
+            f"scratch must have shape {(2 * k,)}, got {scratch.shape}"
+        )
     m = float(np.abs(y).max())
-    if scratch is not None and scratch.shape == (k,):
-        # Legacy split path: two buffers, two exp calls. Identical
-        # per-element operations and summation fold as the fused path.
-        pos = out if out is not None else np.empty_like(y)  # alloc-ok (unbuffered fallback)
-        neg = scratch
-        np.subtract(y, m, out=pos)
-        np.exp(pos, out=pos)
-        np.negative(y, out=neg)
-        np.subtract(neg, m, out=neg)
-        np.exp(neg, out=neg)
-        total = pos.sum() + neg.sum()
-        value = m + float(np.log(total))
-        np.subtract(pos, neg, out=pos)
-        np.true_divide(pos, total, out=pos)
-        return value, pos
     pair = scratch if scratch is not None else np.empty(2 * k)  # alloc-ok (unbuffered fallback)
     pos = pair[:k]
     neg = pair[k:]
@@ -139,7 +124,6 @@ def smax_and_gradient(
     return value, grad
 
 
-@hot_kernel
 def smax_and_gradient_batch(
     y: np.ndarray,
     out: np.ndarray | None = None,
@@ -148,66 +132,18 @@ def smax_and_gradient_batch(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Row-wise :func:`smax_and_gradient` over a ``(Q, k)`` plane.
 
-    Returns ``(values, gradients)`` with ``values[q], gradients[q]``
-    bit-identical to ``smax_and_gradient(y[q])``: the per-row max
-    subtraction, the single stacked ``np.exp`` and the two-half row sum
-    reduce over each contiguous row exactly as the 1-D fused path does
-    over its vector.
-
-    Args:
-        y: C-contiguous argument plane of shape ``(Q, k)``.
-        out: Optional ``(Q, k)`` buffer receiving the gradients.
-        scratch: Optional ``(Q, 2k)`` pair-plane work buffer; both
-            exponential halves live in it and a single ``np.exp``
-            evaluates all ``Q`` rows at once.
-        values_out: Optional ``(Q,)`` buffer receiving the values.
-
-    With all three buffers the call allocates only the two ``(Q,)``
-    reduction temporaries.
+    Row ``q`` is one 1-D call with ``out[q]`` / ``scratch[q]`` (a
+    ``(Q, 2k)`` pair plane) as its buffers, so ``values[q], grads[q]``
+    equal ``smax_and_gradient(y[q])`` exactly. ``values_out`` receives
+    the ``(Q,)`` values.
     """
     y = np.asarray(y, dtype=float)
     if y.ndim != 2:
         raise GraphError(f"expected a (Q, k) plane, got shape {y.shape}")
-    num_queries, k = y.shape
-    values = (
-        values_out
-        if values_out is not None
-        else np.empty(num_queries)  # alloc-ok (unbuffered fallback)
-    )
-    if k == 0:
-        values[:] = float("-inf")
-        return values, (
-            np.zeros((num_queries, 0))  # alloc-ok (empty input)
-            if out is None
-            else out[:, :0]
+    values = values_out if values_out is not None else np.empty(len(y))
+    grads = out if out is not None else np.empty_like(y)
+    for q, row in enumerate(y):
+        values[q], _ = smax_and_gradient(
+            row, out=grads[q], scratch=None if scratch is None else scratch[q]
         )
-    for name, buf in (("out", out), ("scratch", scratch)):
-        if buf is not None and np.may_share_memory(buf, y):
-            raise GraphError(f"{name} buffer must not alias y")
-    pair = (
-        scratch
-        if scratch is not None
-        else np.empty((num_queries, 2 * k))  # alloc-ok (unbuffered fallback)
-    )
-    if pair.shape != (num_queries, 2 * k):
-        raise GraphError(
-            f"scratch must have shape {(num_queries, 2 * k)}, "
-            f"got {pair.shape}"
-        )
-    # Per-row max of |y| — same reduction as the 1-D float(abs(y).max()).
-    pos = pair[:, :k]
-    neg = pair[:, k:]
-    np.abs(y, out=pos)
-    m = pos.max(axis=1)
-    np.subtract(y, m[:, None], out=pos)
-    np.negative(y, out=neg)
-    np.subtract(neg, m[:, None], out=neg)
-    # One ufunc dispatch for both exponential families of all Q rows.
-    np.exp(pair, out=pair)
-    total = pos.sum(axis=1) + neg.sum(axis=1)
-    np.log(total, out=values)
-    np.add(values, m, out=values)
-    grad = out if out is not None else np.empty_like(y)  # alloc-ok (unbuffered fallback)
-    np.subtract(pos, neg, out=grad)
-    np.true_divide(grad, total[:, None], out=grad)
-    return values, grad
+    return values, grads

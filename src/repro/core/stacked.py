@@ -166,72 +166,6 @@ def _apply_shard(
 
 
 @hot_kernel
-def _apply_shard_batch(
-    order: np.ndarray,
-    tin_rows: np.ndarray,
-    tout_rows: np.ndarray,
-    inv_capacity: np.ndarray,
-    demand_plane: np.ndarray,
-    trees: int,
-    n: int,
-) -> np.ndarray:
-    """One tree block of ``R·b`` for ``Q`` stacked demands.
-
-    Runs the exact serial gather / row-cumsum / lookup sequence on a
-    ``(Q, trees, n)`` prefix volume — every per-(q, tree) row folds
-    exactly as the 1-D shard folds its ``(trees, n)`` plane, so column
-    ``q`` of the returned ``(Q, rows)`` block is bit-identical to
-    ``_apply_shard`` on ``demand_plane[q]``.
-    """
-    num_queries = demand_plane.shape[0]
-    prefix = np.empty((num_queries, trees * n))  # alloc-ok (per-call plane, pooled upstream)
-    np.take(demand_plane, order, axis=1, out=prefix, mode="clip")
-    np.cumsum(prefix.reshape(num_queries, trees, n), axis=2, out=prefix.reshape(num_queries, trees, n))
-    target = np.empty((num_queries, len(tin_rows)))  # alloc-ok (per-call plane, pooled upstream)
-    scratch = np.empty_like(target)  # alloc-ok (per-call plane, pooled upstream)
-    np.take(prefix, tout_rows, axis=1, out=target, mode="clip")
-    np.take(prefix, tin_rows, axis=1, out=scratch, mode="clip")
-    np.subtract(target, scratch, out=target)
-    np.multiply(target, inv_capacity, out=target)
-    return target
-
-
-@hot_kernel
-def _apply_transpose_shard_batch(
-    scatter_idx: np.ndarray,
-    row_plane: np.ndarray,
-    inv_capacity: np.ndarray,
-    pot_rows: np.ndarray,
-    trees: int,
-    n: int,
-) -> np.ndarray:
-    """One tree block of ``Rᵀ·g`` for ``Q`` stacked row vectors.
-
-    Returns the *unfolded* ``(Q, trees, n)`` per-tree potentials; the
-    coordinator folds trees in global order (same contract as the 1-D
-    shard). The flat scatter targets are the shard's 1-D targets offset
-    by ``q · trees · (n+1)`` in query-major order, so every diff-plane
-    bin accumulates its contributions in the 1-D order and one
-    ``np.bincount`` serves all queries bit-identically.
-    """
-    num_queries, rows = row_plane.shape
-    signed = np.empty((num_queries, 2 * rows))  # alloc-ok (per-call plane, pooled upstream)
-    np.multiply(row_plane, inv_capacity, out=signed[:, :rows])
-    np.negative(signed[:, :rows], out=signed[:, rows:])
-    diff_size = trees * (n + 1)
-    offsets = np.arange(num_queries, dtype=WIDE_DTYPE) * diff_size  # alloc-ok (Q-length index ramp)
-    flat_idx = (scatter_idx[None, :] + offsets[:, None]).ravel()
-    diff = np.bincount(
-        flat_idx, weights=signed.ravel(), minlength=num_queries * diff_size
-    ).reshape(num_queries, trees, n + 1)
-    cum = np.empty((num_queries, trees, n))  # alloc-ok (per-call plane, pooled upstream)
-    np.cumsum(diff[:, :, :-1], axis=2, out=cum)
-    pots = np.empty((num_queries, trees * n))  # alloc-ok (per-call plane, pooled upstream)
-    np.take(cum.reshape(num_queries, trees * n), pot_rows, axis=1, out=pots, mode="clip")
-    return pots.reshape(num_queries, trees, n)
-
-
-@hot_kernel
 def _apply_transpose_shard(
     scatter_idx: np.ndarray,
     row_values: np.ndarray,
@@ -352,10 +286,6 @@ class StackedTreeOperator:
         self._row_scratch = np.empty(R)
         self._row_buf = np.empty(R)
         self._signed = np.empty(2 * R)
-        # Multi-RHS scratch volumes, keyed by query count Q (servers
-        # reuse a handful of fixed batch sizes, so the cache stays
-        # small); every entry is fully overwritten before it is read.
-        self._batch_cache: dict[int, dict[str, np.ndarray]] = {}
 
     def refresh_inv_capacity(
         self, inv_caps: Sequence[np.ndarray]
@@ -384,26 +314,6 @@ class StackedTreeOperator:
         for shards in self._shard_cache.values():
             for shard in shards:
                 tag_array_version(shard.inv_capacity, self._data_version)
-
-    def _batch_scratch(self, num_queries: int) -> dict[str, np.ndarray]:
-        """Cached per-Q scratch volumes for the serial batch paths."""
-        scratch = self._batch_cache.get(num_queries)
-        if scratch is None:
-            T, n, R = self.num_trees, self.num_nodes, self.num_rows
-            offsets = np.arange(num_queries, dtype=WIDE_DTYPE) * self._diff_size
-            scatter_flat = (self._scatter_idx[None, :] + offsets[:, None]).ravel()
-            scatter_flat.setflags(write=False)
-            scratch = {
-                "prefix": np.empty((num_queries, T * n)),
-                "row_scratch": np.empty((num_queries, R)),
-                "row_buf": np.empty((num_queries, R)),
-                "signed": np.empty((num_queries, 2 * R)),
-                "cum": np.empty((num_queries, T, n)),
-                "pots": np.empty((num_queries, T, n)),
-                "scatter_flat": scatter_flat,
-            }
-            self._batch_cache[num_queries] = scratch
-        return scratch
 
     def _shards_for(self, num_shards: int) -> list[_StackedShard]:
         """Rebased per-shard index arrays for a shard count (cached)."""
@@ -655,191 +565,50 @@ class StackedTreeOperator:
         return float(y.max(initial=0.0))
 
     # ------------------------------------------------------------------
-    # Multi-RHS (Q, ·) batch paths — bit-identical per query column
+    # (Q, ·) planes, one row per product call. Nothing in the library
+    # calls these; they stay because the traced benchmark
+    # (perfbench/spans.py) wraps them by name.
     # ------------------------------------------------------------------
-    def _sharded_plan_batch(
-        self, parallel: ParallelConfig | None, num_queries: int
-    ) -> tuple[list[_StackedShard], ParallelConfig] | None:
-        """Shard list for a Q-row batch, or ``None`` for serial. Work
-        size scales with Q, so batches shard sooner than single calls."""
-        config = resolve_config(parallel)
-        if self.num_trees <= 1 or not config.should_shard(
-            num_queries * self.num_trees * self.num_nodes
-        ):
-            return None
-        shards = self._shards_for(config.workers)
-        if len(shards) <= 1:
-            return None
-        return shards, config
-
-    @hot_kernel
     def apply_batch(
         self,
         demand_plane: np.ndarray,
         out: np.ndarray | None = None,
         parallel: ParallelConfig | None = None,
     ) -> np.ndarray:
-        """``R·b`` for ``Q`` stacked demands: ``(Q, n) → (Q, num_rows)``.
-
-        Row ``q`` of the result is **bit-identical** to
-        ``apply(demand_plane[q])``: the gather, the per-(q, tree) row
-        cumsum, the two lookups and the capacity scaling all reduce over
-        the same contiguous rows in the same order — only the ufunc
-        dispatch is amortized across queries. Sharded execution reuses
-        the cached 1-D shard plans (tree blocks), computed per block
-        over all ``Q`` rows and stitched column-wise.
-        """
+        """``R·b`` for ``Q`` stacked demands, ``(Q, n) → (Q, num_rows)``:
+        row ``q`` is :meth:`apply` on ``demand_plane[q]``."""
         demand_plane = np.asarray(demand_plane, dtype=float)
-        if demand_plane.ndim != 2 or demand_plane.shape[1] != self.num_nodes:
+        if demand_plane.ndim != 2:
             raise GraphError(
                 f"demand plane has shape {demand_plane.shape}, expected "
                 f"(Q, {self.num_nodes})"
             )
-        num_queries = demand_plane.shape[0]
         if out is None:
-            out = np.empty((num_queries, self.num_rows))  # alloc-ok (unbuffered fallback)
-        if self.num_rows == 0 or num_queries == 0:
-            return out
-        sharded = self._sharded_plan_batch(parallel, num_queries)
-        if sharded is not None:
-            shards, config = sharded
-            pool = get_pool(config)
-            results = pool.map(
-                _apply_shard_batch,
-                [
-                    (
-                        shard.order,
-                        shard.tin_rows,
-                        shard.tout_rows,
-                        shard.inv_capacity,
-                        demand_plane,
-                        shard.trees,
-                        self.num_nodes,
-                    )
-                    for shard in shards
-                ],
-            )
-            for shard, block in zip(shards, results):
-                out[:, shard.r0 : shard.r1] = block
-            return out
-        scratch = self._batch_scratch(num_queries)
-        prefix = scratch["prefix"]
-        row_scratch = scratch["row_scratch"]
-        T, n = self.num_trees, self.num_nodes
-        np.take(demand_plane, self._order, axis=1, out=prefix, mode="clip")
-        prefix3 = prefix.reshape(num_queries, T, n)
-        np.cumsum(prefix3, axis=2, out=prefix3)
-        np.take(prefix, self._tout_rows, axis=1, out=out, mode="clip")
-        np.take(prefix, self._tin_rows, axis=1, out=row_scratch, mode="clip")
-        np.subtract(out, row_scratch, out=out)
-        np.multiply(out, self._row_inv_capacity, out=out)
+            out = np.empty((len(demand_plane), self.num_rows))
+        for q, demand in enumerate(demand_plane):
+            self.apply(demand, out=out[q], parallel=parallel)
         return out
 
-    @hot_kernel
     def apply_transpose_batch(
         self,
         row_plane: np.ndarray,
         out: np.ndarray | None = None,
         parallel: ParallelConfig | None = None,
     ) -> np.ndarray:
-        """``Rᵀ·g`` for ``Q`` stacked row vectors: ``(Q, R) → (Q, n)``.
-
-        Row ``q`` is bit-identical to ``apply_transpose(row_plane[q])``:
-        one query-major offset ``np.bincount`` builds all ``Q`` diff
-        planes with the 1-D per-bin accumulation order, the row cumsums
-        fold per (q, tree) row, and the per-tree potentials fold in
-        global tree order exactly as the serial loop does.
-        """
+        """``Rᵀ·g`` for ``Q`` stacked row vectors, ``(Q, num_rows) →
+        (Q, n)``: row ``q`` is :meth:`apply_transpose` on
+        ``row_plane[q]``."""
         row_plane = np.asarray(row_plane, dtype=float)
-        if row_plane.ndim != 2 or row_plane.shape[1] != self.num_rows:
+        if row_plane.ndim != 2:
             raise GraphError(
                 f"row plane has shape {row_plane.shape}, expected "
                 f"(Q, {self.num_rows})"
             )
-        num_queries = row_plane.shape[0]
         if out is None:
-            out = np.empty((num_queries, self.num_nodes))  # alloc-ok (unbuffered fallback)
-        if num_queries == 0:
-            return out
-        if self.num_rows == 0:
-            out[:] = 0.0
-            return out
-        sharded = self._sharded_plan_batch(parallel, num_queries)
-        if sharded is not None:
-            shards, config = sharded
-            pool = get_pool(config)
-            results = pool.map(
-                _apply_transpose_shard_batch,
-                [
-                    (
-                        shard.scatter_idx,
-                        row_plane[:, shard.r0 : shard.r1],
-                        shard.inv_capacity,
-                        shard.pot_rows,
-                        shard.trees,
-                        self.num_nodes,
-                    )
-                    for shard in shards
-                ],
-            )
-            first = True
-            for block in results:
-                for t in range(block.shape[1]):
-                    if first:
-                        out[:] = block[:, t]
-                        first = False
-                    else:
-                        np.add(out, block[:, t], out=out)
-            return out
-        scratch = self._batch_scratch(num_queries)
-        signed = scratch["signed"]
-        cum = scratch["cum"]
-        pots = scratch["pots"]
-        R = self.num_rows
-        T, n = self.num_trees, self.num_nodes
-        np.multiply(row_plane, self._row_inv_capacity, out=signed[:, :R])
-        np.negative(signed[:, :R], out=signed[:, R:])
-        diff = np.bincount(
-            scratch["scatter_flat"],
-            weights=signed.ravel(),
-            minlength=num_queries * self._diff_size,
-        ).reshape(num_queries, T, n + 1)
-        np.cumsum(diff[:, :, :-1], axis=2, out=cum)
-        np.take(
-            cum.reshape(num_queries, T * n),
-            self._pot_rows,
-            axis=1,
-            out=pots.reshape(num_queries, T * n),
-            mode="clip",
-        )
-        out[:] = pots[:, 0]
-        for t in range(1, T):
-            np.add(out, pots[:, t], out=out)
+            out = np.empty((len(row_plane), self.num_nodes))
+        for q, rows in enumerate(row_plane):
+            self.apply_transpose(rows, out=out[q], parallel=parallel)
         return out
-
-    @hot_kernel
-    def estimate_batch(
-        self,
-        demand_plane: np.ndarray,
-        out: np.ndarray | None = None,
-        parallel: ParallelConfig | None = None,
-    ) -> np.ndarray:
-        """Per-query ``‖R·b_q‖_∞`` as a ``(Q,)`` vector, each entry
-        bit-identical to ``estimate(demand_plane[q])``."""
-        num_queries = np.asarray(demand_plane).shape[0]
-        if self.num_rows == 0:
-            result = out if out is not None else np.empty(num_queries)  # alloc-ok (unbuffered fallback)
-            result[:] = 0.0
-            return result
-        row_buf = self._batch_scratch(num_queries)["row_buf"]
-        y = self.apply_batch(demand_plane, out=row_buf, parallel=parallel)
-        np.abs(y, out=y)
-        values = y.max(axis=1, initial=0.0)
-        if out is None:
-            return values
-        out[:] = values
-        return out
-
 
 def _concat_int(parts: list[np.ndarray]) -> np.ndarray:
     if not parts:

@@ -84,14 +84,14 @@ class ServingError(ReproError):
 
     Error isolation contract: in batched routing a ``ServingError``
     scopes to the one demand column that failed (its cause chained as
-    ``__cause__``), never to the whole miss batch."""
+    ``__cause__``), never to the whole batch."""
 
 
 class DeadlineExceededError(ServingError):
     """Raised when a :class:`repro.serve.FlowServer` request exceeds its
-    configured per-request deadline.  Checked cooperatively at chunk
-    boundaries, so an in-flight solve completes before the deadline is
-    observed."""
+    configured per-request deadline.  Checked cooperatively before each
+    demand's solve, so an in-flight solve completes before the deadline
+    is observed."""
 
 
 class FaultSpecError(ReproError):

@@ -104,7 +104,7 @@ SITES: dict[str, tuple[str, ...]] = {
     "arena.attach": ("enoent",),
     # FlowServer workspace checkout from the warm pool.
     "serve.checkout": ("raise",),
-    # FlowServer miss-batch solve (one chunk of demand columns).
+    # FlowServer cache-miss solve (one demand, single or batch column).
     "serve.miss": ("raise", "hang"),
 }
 
@@ -166,7 +166,7 @@ class FaultSpec:
     * ``pool.worker`` — raise on the first visit, once;
     * ``pool.worker:exit@3`` — kill the worker on the third visit;
     * ``arena.export:enospc@1*2`` — ENOSPC on the first two exports;
-    * ``serve.miss:raise@2*inf`` — fail every miss chunk from the
+    * ``serve.miss:raise@2*inf`` — fail every miss solve from the
       second onward (``count=-1``, :data:`UNLIMITED`).
 
     Attributes:

@@ -15,8 +15,8 @@ Within an epoch the cache is a plain LRU over query keys (solver kind,
 ε, budget, and a content digest of the demand vector), so repeated
 queries are O(1) hits and single lookups and batched columns share one
 namespace — a demand routed inside a batch later hits as a single
-query and vice versa, which is sound because batched routing is
-bit-identical per column to the one-shot call.
+query and vice versa, which is sound because every batch column is
+solved by the same one-shot call a single query uses.
 """
 
 from __future__ import annotations

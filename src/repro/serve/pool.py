@@ -5,8 +5,8 @@ AlmostRoute's inner loop is allocation free *given* a
 is a dozen m/n/row-shaped buffers whose allocation (and first-touch
 page faulting) is pure per-query overhead in a serve-many setting. The
 pool keeps workspaces warm across queries: acquire pops a ready one
-(or builds on first use), release pushes it back. Batch workspaces are
-pooled per batch size Q, since every plane is Q-shaped.
+(or builds on first use), release pushes it back. Batch requests solve
+column by column, so they draw from the same pool as single queries.
 
 Shape safety rides on the ``ensure`` contract: a released workspace is
 only re-admitted if its ``shape_key`` still matches the pool's bound
@@ -24,7 +24,7 @@ from __future__ import annotations
 # repro.parallel's ordered-map pools.
 import threading  # repolint: disable=pool-bypass -- Lock only, no pool primitives
 
-from repro.core.almost_route import BatchRouteWorkspace, RouteWorkspace
+from repro.core.almost_route import RouteWorkspace
 from repro.core.approximator import TreeCongestionApproximator
 from repro.faults import fault_point
 from repro.graphs.graph import Graph
@@ -33,8 +33,7 @@ __all__ = ["WorkspacePool"]
 
 
 class WorkspacePool:
-    """Reusable single- and batch-routing workspaces for one
-    (graph, approximator) pair."""
+    """Reusable routing workspaces for one (graph, approximator) pair."""
 
     #: Lock contract, machine-checked by repolint's lock-discipline
     #: rule: a FlowServer may be driven from multiple request threads,
@@ -42,12 +41,10 @@ class WorkspacePool:
     #: inside ``with self._lock``.
     _GUARDED_BY = (
         "_singles",
-        "_batches",
         "_graph",
         "_approximator",
         "_shape_key",
         "created_singles",
-        "created_batches",
     )
 
     def __init__(
@@ -55,9 +52,7 @@ class WorkspacePool:
     ) -> None:
         self._lock = threading.Lock()
         self._singles: list[RouteWorkspace] = []
-        self._batches: dict[int, list[BatchRouteWorkspace]] = {}
         self.created_singles = 0
-        self.created_batches = 0
         self.rebind(graph, approximator)
 
     def rebind(
@@ -73,24 +68,15 @@ class WorkspacePool:
             self._singles = [
                 ws for ws in self._singles if ws.shape_key == key
             ]
-            self._batches = {
-                q: kept
-                for q, stock in self._batches.items()
-                if (kept := [
-                    ws for ws in stock if ws.shape_key == (q,) + key
-                ])
-            }
 
     def flush(self) -> None:
         """Drop every pooled workspace (keeps the binding)."""
         with self._lock:
             self._singles.clear()
-            self._batches.clear()
 
     @fault_point("serve.checkout", kinds=("raise",))
     def acquire(self) -> RouteWorkspace:
-        """Pop a warm single-query workspace, building one on a dry
-        pool.
+        """Pop a warm workspace, building one on a dry pool.
 
         Fault site ``serve.checkout``: a failed checkout is recoverable
         by design — the server falls back to a per-call workspace (the
@@ -109,29 +95,7 @@ class WorkspacePool:
             if workspace.shape_key == self._shape_key:
                 self._singles.append(workspace)
 
-    @fault_point("serve.checkout", kinds=("raise",))
-    def acquire_batch(self, num_queries: int) -> BatchRouteWorkspace:
-        """Pop a warm batch workspace for ``num_queries`` stacked
-        demands, building one on a dry pool (same ``serve.checkout``
-        fault site and fallback contract as :meth:`acquire`)."""
+    def pooled_count(self) -> int:
+        """Idle workspaces right now."""
         with self._lock:
-            stock = self._batches.get(num_queries)
-            if stock:
-                return stock.pop()
-            self.created_batches += 1
-            graph, approximator = self._graph, self._approximator
-        return BatchRouteWorkspace(graph, approximator, num_queries)
-
-    def release_batch(self, workspace: BatchRouteWorkspace) -> None:
-        with self._lock:
-            q = workspace.num_queries
-            if workspace.shape_key == (q,) + self._shape_key:
-                self._batches.setdefault(q, []).append(workspace)
-
-    def pooled_counts(self) -> tuple[int, int]:
-        """(idle single workspaces, idle batch workspaces) right now."""
-        with self._lock:
-            return (
-                len(self._singles),
-                sum(len(stock) for stock in self._batches.values()),
-            )
+            return len(self._singles)

@@ -6,21 +6,23 @@ tree samples to build but answers any demand, so amortizing one build
 over a query stream changes the economics completely. The server owns
 
 * a built :class:`~repro.core.approximator.TreeCongestionApproximator`,
-* a warm :class:`~repro.serve.pool.WorkspacePool` of single- and
-  batch-routing workspaces, and
+* a warm :class:`~repro.serve.pool.WorkspacePool` of routing
+  workspaces, and
 * a version-keyed :class:`~repro.serve.cache.ResultCache`,
 
 and serves single demands (:meth:`FlowServer.route`,
-:meth:`FlowServer.route_st`) and stacked multi-demand batches
-(:meth:`FlowServer.route_batch`, the
-:func:`~repro.core.almost_route.almost_route_batch` fast path that
-amortizes every operator product across the batch).
+:meth:`FlowServer.route_st`) and stacked multi-demand requests
+(:meth:`FlowServer.route_batch`).
 
-Because batched routing is **bit-identical per column** to the one-shot
-call, singles and batch columns share one cache namespace: a demand
-routed inside a batch hits later as a single query and vice versa, and
-a batch with partial hits routes only the missing columns (as a
-smaller batch) without changing any result bit.
+Every cache miss — a single query or one column of a batch — is solved
+by the same one-shot solver call (:meth:`FlowServer._serve_miss`), so
+singles and batch columns share one cache namespace: a demand routed
+inside a batch hits later as a single query and vice versa, and a batch
+with partial hits routes only its missing columns. Solving column by
+column also means a converged column costs nothing more while a slower
+sibling finishes. Only converged results are cached; a result that
+exhausted its iteration budget is returned with ``converged=False`` and
+re-solved on the next request.
 
 Mutation safety: every entry point first compares the graph's
 cache-invalidation counter (``Graph._version``) against the epoch the
@@ -43,17 +45,11 @@ from typing import Iterable, Literal, Sequence
 
 import numpy as np
 
-from repro.core.accelerated import (
-    accelerated_almost_route,
-    accelerated_almost_route_batch,
-)
+from repro.core.accelerated import accelerated_almost_route
 from repro.core.almost_route import (
     AlmostRouteResult,
-    BatchAlmostRouteResult,
-    BatchRouteWorkspace,
     RouteWorkspace,
     almost_route,
-    almost_route_batch,
 )
 from repro.core.approximator import (
     TreeCongestionApproximator,
@@ -76,9 +72,11 @@ from repro.util.validation import st_demand
 
 __all__ = ["FlowServer", "ServerHealth", "ServerStats"]
 
+#: solver name -> (one-shot solver,). Looked up at call time, so a
+#: tracer may rewrite the entries in place.
 _SOLVERS = {
-    "plain": (almost_route, almost_route_batch),
-    "accelerated": (accelerated_almost_route, accelerated_almost_route_batch),
+    "plain": (almost_route,),
+    "accelerated": (accelerated_almost_route,),
 }
 
 
@@ -89,7 +87,9 @@ class ServerStats:
     ``incremental_refreshes`` counts epoch moves absorbed by the
     journal-driven scoped refresh (``refresh="incremental"``) instead
     of a full rebuild; ``warm_starts`` counts queries seeded from a
-    salvaged previous-epoch flow instead of starting cold.
+    salvaged previous-epoch flow instead of starting cold;
+    ``unconverged`` counts solves that exhausted their iteration budget
+    (returned with ``converged=False``, never cached).
     """
 
     single_queries: int = 0
@@ -98,6 +98,7 @@ class ServerStats:
     rebuilds: int = 0
     incremental_refreshes: int = 0
     warm_starts: int = 0
+    unconverged: int = 0
     cache: CacheStats | None = None
 
 
@@ -111,11 +112,12 @@ class ServerHealth:
     Attributes:
         workspace_fallbacks: Solves that ran on a per-call workspace
             because the warm-pool checkout failed.
-        column_failures: Demand columns that ended as a
-            :class:`~repro.errors.ServingError` (the error-isolation
-            contract: one poisoned column never fails its batch).
-        batch_splits: Miss-chunk bisections performed to isolate
-            poisoned columns.
+        column_failures: Demands (single queries or batch columns) that
+            ended as a :class:`~repro.errors.ServingError` (the
+            error-isolation contract: one poisoned column never fails
+            its batch).
+        miss_retries: Cache-miss solves re-run once after a failure
+            other than a pool loss.
         deadline_hits: Requests that exceeded their deadline.
         pool_failures: :class:`~repro.errors.PoolFailureError` events
             absorbed by the circuit-breaker machinery.
@@ -140,7 +142,7 @@ class ServerHealth:
 
     workspace_fallbacks: int
     column_failures: int
-    batch_splits: int
+    miss_retries: int
     deadline_hits: int
     pool_failures: int
     breaker_trips: int
@@ -168,14 +170,6 @@ class FlowServer:
         max_iterations: Optional per-query gradient budget override.
         cache_capacity: LRU capacity of the result cache (``0``
             disables caching).
-        max_batch: Upper bound on the number of demand columns routed
-            through one stacked solver call; larger miss batches are
-            served in chunks of this size. Batched routing is
-            bit-identical per column regardless of how columns are
-            grouped, so chunking is purely a working-set policy: the
-            ``(Q, ·)`` planes of a bounded chunk stay cache-resident
-            where one huge batch would stream through DRAM (measured in
-            ``tools/bench_serving.py``). ``None`` disables chunking.
         parallel: Optional sharded-execution config for the operator
             products (results are bit-identical either way).
         rng: Seed used to build — and, under ``refresh="rebuild"`` /
@@ -194,8 +188,8 @@ class FlowServer:
             results satisfy the same ``(1+ε)·α`` guarantee and
             cross-backend bit-identity as cold ones.
         deadline: Per-request wall-clock budget in seconds (``None``
-            disables it). Checked cooperatively at chunk boundaries —
-            an in-flight solve completes before the deadline is
+            disables it). Checked cooperatively before each demand's
+            solve — an in-flight solve completes before the deadline is
             observed — and raises
             :class:`~repro.errors.DeadlineExceededError`.
         breaker_threshold: Consecutive pool losses tolerated before
@@ -214,7 +208,6 @@ class FlowServer:
         solver: Literal["plain", "accelerated"] = "plain",
         max_iterations: int | None = None,
         cache_capacity: int = 1024,
-        max_batch: int | None = 8,
         parallel: ParallelConfig | None = None,
         rng: np.random.Generator | int | None = 0,
         refresh: Literal["rebuild", "reuse", "incremental"] = "rebuild",
@@ -233,8 +226,6 @@ class FlowServer:
         eps = float(epsilon)
         if not 0 < eps <= 1:
             raise GraphError(f"epsilon must be in (0, 1], got {epsilon}")
-        if max_batch is not None and max_batch < 1:
-            raise GraphError(f"max_batch must be >= 1 or None, got {max_batch}")
         if deadline is not None and not deadline > 0:
             raise GraphError(
                 f"deadline must be > 0 seconds or None, got {deadline}"
@@ -247,7 +238,6 @@ class FlowServer:
         self.epsilon = eps
         self.solver = solver
         self.max_iterations = max_iterations
-        self.max_batch = max_batch
         self.parallel = parallel
         self.refresh = refresh
         self.deadline = deadline
@@ -273,6 +263,7 @@ class FlowServer:
         self._rebuilds = 0
         self._incremental_refreshes = 0
         self._warm_starts = 0
+        self._unconverged = 0
         # Warm-start seeds salvaged by the incremental refresh: query
         # key -> previous-epoch flow rescaled to the live capacities.
         # Replaced wholesale at each epoch move (so a seed is always
@@ -283,7 +274,7 @@ class FlowServer:
         self._effective_parallel = parallel
         self._workspace_fallbacks = 0
         self._column_failures = 0
-        self._batch_splits = 0
+        self._miss_retries = 0
         self._deadline_hits = 0
         self._pool_failures = 0
         self._breaker_trips = 0
@@ -367,29 +358,19 @@ class FlowServer:
         )
 
     def _check_deadline(self, deadline_at: float | None) -> None:
-        """Cooperative deadline check, called at chunk boundaries."""
+        """Cooperative deadline check, called before each solve."""
         if deadline_at is not None and time.monotonic() > deadline_at:
             self._deadline_hits += 1
             raise DeadlineExceededError(
                 f"request exceeded its {self.deadline}s deadline"
             )
 
-    def _acquire_single(self) -> RouteWorkspace | None:
+    def _acquire(self) -> RouteWorkspace | None:
         """Warm-pool checkout with fallback: a failed checkout means
         the solver allocates a per-call workspace (slower, identical
         results) — a counted degradation, never a failed request."""
         try:
             return self._pool.acquire()
-        except Exception as exc:
-            self._workspace_fallbacks += 1
-            self._last_error = f"{type(exc).__name__}: {exc}"
-            return None
-
-    def _acquire_batch(self, num_queries: int) -> BatchRouteWorkspace | None:
-        """Batch-workspace checkout with the same fallback contract as
-        :meth:`_acquire_single`."""
-        try:
-            return self._pool.acquire_batch(num_queries)
         except Exception as exc:
             self._workspace_fallbacks += 1
             self._last_error = f"{type(exc).__name__}: {exc}"
@@ -428,43 +409,96 @@ class FlowServer:
         self._consecutive_pool_failures = 0
 
     @fault_point("serve.miss", kinds=("raise", "hang"))
-    def _solve_chunk(
+    def _solve(
         self,
-        plane: np.ndarray,
-        workspace: BatchRouteWorkspace | None,
-        initial_flows: np.ndarray | None = None,
-    ) -> BatchAlmostRouteResult:
-        """Solve one miss chunk (fault site ``serve.miss``)."""
-        _, batch_solver = _SOLVERS[self.solver]
-        return batch_solver(
+        demand: np.ndarray,
+        workspace: RouteWorkspace | None,
+        seed: np.ndarray | None,
+    ) -> AlmostRouteResult:
+        """One solve attempt for one cache miss (fault site
+        ``serve.miss``)."""
+        (solver,) = _SOLVERS[self.solver]
+        return solver(
             self.graph,
             self.approximator,
-            plane,
+            demand,
             self.epsilon,
             max_iterations=self.max_iterations,
             workspace=workspace,
             parallel=self._current_parallel(),
-            initial_flows=initial_flows,
+            initial_flow=seed,
         )
 
-    def _seed_plane(
-        self, idx: list[int], keys: list[tuple]
-    ) -> tuple[np.ndarray | None, list[int]]:
-        """The warm-start plane for a miss chunk, or ``None`` when no
-        column has a salvaged seed.
+    def _serve_miss(
+        self,
+        demand: np.ndarray,
+        key: tuple,
+        deadline_at: float | None,
+        use_cache: bool,
+        label: str,
+    ) -> AlmostRouteResult | ServingError:
+        """Solve one cache miss: the one solve, retry and breaker loop
+        behind both :meth:`route` and :meth:`route_batch`.
 
-        Unseeded columns get an all-zero row — dividing a zero seed by
-        ``kb`` reproduces the cold init bit for bit, so mixing seeded
-        and cold columns in one chunk never perturbs the cold ones.
+        A pool loss retries on the same backend, then degrades it
+        through the circuit breaker. Any other failure re-solves the
+        demand once (a transient fault recovers bit-identically); a
+        second failure is returned as a
+        :class:`~repro.errors.ServingError` naming ``label``, with the
+        cause chained. A workspace used by a failed solve is dropped,
+        never re-pooled. Converged results are cached; results that
+        exhausted the budget are returned as they are, never cached.
         """
-        rows = [self._warm_seeds.get(keys[q]) for q in idx]
-        seeded = [j for j, row in enumerate(rows) if row is not None]
-        if not seeded:
-            return None, []
-        plane = np.zeros((len(idx), self.graph.num_edges))
-        for j in seeded:
-            plane[j] = rows[j]
-        return plane, seeded
+        # Warm start: a salvaged previous-epoch flow for this exact
+        # demand digest (rescaled to the new capacities at sync time)
+        # primes the solver. Gated on use_cache because the seed is
+        # cache-derived state; popped so it is used at most once.
+        seed = self._warm_seeds.pop(key, None) if use_cache else None
+        if seed is not None:
+            self._warm_starts += 1
+        retried = False
+        while True:
+            self._check_deadline(deadline_at)
+            workspace = self._acquire()
+            try:
+                result = self._solve(demand, workspace, seed)
+            except PoolFailureError as exc:
+                # The workspace may have been written by a failed (or
+                # still-running, on the thread backend) shard.
+                workspace = None
+                if self._note_pool_failure(exc):
+                    continue
+                return self._failure(
+                    f"{label} failed to route: worker-pool loss persisted "
+                    "through every circuit-breaker degradation",
+                    exc,
+                )
+            except Exception as exc:
+                workspace = None
+                self._last_error = f"{type(exc).__name__}: {exc}"
+                if not retried:
+                    retried = True
+                    self._miss_retries += 1
+                    continue
+                return self._failure(
+                    f"{label} failed to route: {type(exc).__name__}: {exc}",
+                    exc,
+                )
+            finally:
+                if workspace is not None:
+                    self._pool.release(workspace)
+            self._consecutive_pool_failures = 0
+            if result.converged:
+                self._cache.put(key, result)
+            else:
+                self._unconverged += 1
+            return result
+
+    def _failure(self, message: str, cause: Exception) -> ServingError:
+        self._column_failures += 1
+        failure = ServingError(message)
+        failure.__cause__ = cause
+        return failure
 
     # ------------------------------------------------------------------
     # Serving
@@ -476,9 +510,10 @@ class FlowServer:
         same query was served this epoch (by single or batched call).
 
         Cached results are shared objects — treat them as read-only.
-        Pool loss is absorbed by the circuit-breaker (retry, then
-        backend degradation); a workspace used by a failed solve is
-        dropped, never re-pooled.
+        A result with ``converged=False`` (iteration budget exhausted)
+        is returned but not cached. A demand that fails to route twice
+        raises :class:`~repro.errors.ServingError` (see
+        :meth:`_serve_miss`).
         """
         self._sync()
         self._single_queries += 1
@@ -488,46 +523,12 @@ class FlowServer:
             cached = self._cache.get(key)
             if cached is not None:
                 return cached
-        # Warm start: a salvaged previous-epoch flow for this exact
-        # demand digest (rescaled to the new capacities at sync time)
-        # primes the solver. Gated on use_cache because the seed is
-        # cache-derived state; popped so it is used at most once.
-        seed = self._warm_seeds.pop(key, None) if use_cache else None
-        if seed is not None:
-            self._warm_starts += 1
-        single, _ = _SOLVERS[self.solver]
-        deadline_at = self._deadline_at()
-        while True:
-            self._check_deadline(deadline_at)
-            workspace = self._acquire_single()
-            try:
-                result = single(
-                    self.graph,
-                    self.approximator,
-                    demand,
-                    self.epsilon,
-                    max_iterations=self.max_iterations,
-                    workspace=workspace,
-                    parallel=self._current_parallel(),
-                    initial_flow=seed,
-                )
-            except PoolFailureError as exc:
-                # The workspace may have been written by a failed (or
-                # still-running, on the thread backend) shard: poison
-                # it by dropping the reference instead of re-pooling.
-                workspace = None
-                if self._note_pool_failure(exc):
-                    continue
-                raise ServingError(
-                    "single routing failed: worker-pool loss persisted "
-                    "through every circuit-breaker degradation"
-                ) from exc
-            finally:
-                if workspace is not None:
-                    self._pool.release(workspace)
-            self._consecutive_pool_failures = 0
-            self._cache.put(key, result)
-            return result
+        result = self._serve_miss(
+            demand, key, self._deadline_at(), use_cache, label="demand"
+        )
+        if isinstance(result, ServingError):
+            raise result
+        return result
 
     def route_st(
         self, source: int, sink: int, value: float = 1.0, use_cache: bool = True
@@ -543,23 +544,21 @@ class FlowServer:
         use_cache: bool = True,
         errors: Literal["raise", "return"] = "raise",
     ) -> list[AlmostRouteResult]:
-        """Route ``Q`` stacked demands through the batched solver.
+        """Route ``Q`` stacked demands, one result per column.
 
-        Cache hits are split out first; the remaining misses run as
-        smaller stacked batches of at most ``max_batch`` columns
-        (bit-identity makes the re-batching invisible in the results)
-        and every fresh column is cached individually, so batches and
-        singles warm each other.
+        Cache hits are split out first; each remaining miss is then
+        solved on its own, exactly as :meth:`route` solves it (same
+        solver, warm seed, retry and breaker), and cached if it
+        converged — so batches and singles warm each other.
 
-        Error isolation: a poisoned demand column fails its *own*
-        request — the miss chunk is bisected until the failure is
-        pinned to single columns, which receive a
+        Error isolation: a demand column that fails to route twice
+        fails its *own* request — it receives a
         :class:`~repro.errors.ServingError` carrying the cause chain,
-        while every healthy column routes normally (bit-identical to a
-        clean run). With ``errors="raise"`` (default) the first such
-        failure is raised after the whole batch is served; with
-        ``errors="return"`` the ``ServingError`` objects are returned
-        in the failed columns' positions instead.
+        while every healthy column routes normally. With
+        ``errors="raise"`` (default) the first such failure is raised
+        after the whole batch is served; with ``errors="return"`` the
+        ``ServingError`` objects are returned in the failed columns'
+        positions instead.
         """
         if errors not in ("raise", "return"):
             raise GraphError(
@@ -574,110 +573,25 @@ class FlowServer:
         num_queries = demands.shape[0]
         self._batch_queries += 1
         self._batched_columns += num_queries
-        results: list[AlmostRouteResult | ServingError | None] = (
-            [None] * num_queries
-        )
         keys = [self._query_key(demands[q]) for q in range(num_queries)]
-        miss_idx = []
-        for q, key in enumerate(keys):
-            cached = self._cache.get(key) if use_cache else None
-            if cached is not None:
-                results[q] = cached
-            else:
-                miss_idx.append(q)
+        results: list[AlmostRouteResult | ServingError | None] = [
+            self._cache.get(key) if use_cache else None for key in keys
+        ]
         deadline_at = self._deadline_at()
-        chunk = self.max_batch or len(miss_idx) or 1
-        # Chunked miss routing: column grouping never changes any bit,
-        # so bounding the per-call plane width is free correctness-wise
-        # and keeps the solver's working set cache-resident. Fixed-size
-        # chunks also re-hit the same pooled batch workspace.
-        for start in range(0, len(miss_idx), chunk):
-            idx = miss_idx[start : start + chunk]
-            self._route_chunk(
-                demands, idx, keys, results, deadline_at, use_seeds=use_cache
-            )
+        for q, key in enumerate(keys):
+            if results[q] is None:
+                results[q] = self._serve_miss(
+                    demands[q],
+                    key,
+                    deadline_at,
+                    use_cache,
+                    label=f"demand column {q}",
+                )
         if errors == "raise":
             for item in results:
                 if isinstance(item, ServingError):
                     raise item
         return results  # type: ignore[return-value]
-
-    def _route_chunk(
-        self,
-        demands: np.ndarray,
-        idx: list[int],
-        keys: list[tuple],
-        results: list[AlmostRouteResult | ServingError | None],
-        deadline_at: float | None,
-        use_seeds: bool = True,
-    ) -> None:
-        """Serve one miss chunk, bisecting on failure.
-
-        Pool loss retries the whole chunk (same backend, then breaker
-        degradation); any other solve failure bisects the chunk until
-        it is pinned to single columns, which store a
-        :class:`~repro.errors.ServingError` in their result slot —
-        healthy siblings re-route bit-identically."""
-        while True:
-            self._check_deadline(deadline_at)
-            plane = np.ascontiguousarray(demands[idx])
-            seeds, seeded = (
-                self._seed_plane(idx, keys) if use_seeds else (None, [])
-            )
-            workspace = self._acquire_batch(len(idx))
-            try:
-                batch = self._solve_chunk(plane, workspace, initial_flows=seeds)
-            except PoolFailureError as exc:
-                workspace = None  # poisoned: drop, never re-pool
-                if self._note_pool_failure(exc):
-                    continue
-                failure = ServingError(
-                    "batched routing failed: worker-pool loss persisted "
-                    "through every circuit-breaker degradation"
-                )
-                failure.__cause__ = exc
-                self._column_failures += len(idx)
-                for q in idx:
-                    results[q] = failure
-                return
-            except Exception as exc:
-                workspace = None  # poisoned: drop, never re-pool
-                if len(idx) == 1:
-                    failure = ServingError(
-                        f"demand column {idx[0]} failed to route: "
-                        f"{type(exc).__name__}: {exc}"
-                    )
-                    failure.__cause__ = exc
-                    self._column_failures += 1
-                    self._last_error = f"{type(exc).__name__}: {exc}"
-                    results[idx[0]] = failure
-                    return
-                # Bisect: the failure names the chunk, not the column.
-                # Both halves re-route (bit-identity makes the regroup
-                # invisible) until the poison is isolated.
-                self._batch_splits += 1
-                mid = len(idx) // 2
-                self._route_chunk(
-                    demands, idx[:mid], keys, results, deadline_at,
-                    use_seeds=use_seeds,
-                )
-                self._route_chunk(
-                    demands, idx[mid:], keys, results, deadline_at,
-                    use_seeds=use_seeds,
-                )
-                return
-            finally:
-                if workspace is not None:
-                    self._pool.release_batch(workspace)
-            self._consecutive_pool_failures = 0
-            for j in seeded:
-                self._warm_seeds.pop(keys[idx[j]], None)
-                self._warm_starts += 1
-            for j, q in enumerate(idx):
-                result = batch.query(j)
-                self._cache.put(keys[q], result)
-                results[q] = result
-            return
 
     # ------------------------------------------------------------------
     # Introspection
@@ -690,6 +604,7 @@ class FlowServer:
             rebuilds=self._rebuilds,
             incremental_refreshes=self._incremental_refreshes,
             warm_starts=self._warm_starts,
+            unconverged=self._unconverged,
             cache=self._cache.stats(),
         )
 
@@ -705,7 +620,7 @@ class FlowServer:
         return ServerHealth(
             workspace_fallbacks=self._workspace_fallbacks,
             column_failures=self._column_failures,
-            batch_splits=self._batch_splits,
+            miss_retries=self._miss_retries,
             deadline_hits=self._deadline_hits,
             pool_failures=self._pool_failures,
             breaker_trips=self._breaker_trips,

@@ -34,8 +34,9 @@ SHARD_COUNTS = (2, 3, 4)
 BACKENDS = ("serial", "thread")
 
 #: name -> graph factory. Sizes chosen so every instance is beyond
-#: TINY_GRAPH_LIMIT (the operators take the flat path) while the whole
-#: matrix stays fast; ``min_size=0`` configs force sharding regardless.
+#: TINY_GRAPH_LIMIT (the graph kernels take their array paths) while
+#: the whole matrix stays fast; ``min_size=0`` configs force sharding
+#: regardless.
 GENERATORS = {
     "random": lambda seed: random_connected(72, 0.08, rng=seed),
     "grid": lambda seed: grid(9, 9, rng=seed),
@@ -242,6 +243,51 @@ def assert_contract_equivalent(graph: Graph, config: ParallelConfig) -> None:
 # ----------------------------------------------------------------------
 # Operator-level equivalence
 # ----------------------------------------------------------------------
+class PerTreeReference:
+    """R·b, Rᵀ·g and ‖Rb‖∞ as a loop over an approximator's
+    :class:`~repro.core.approximator.TreeOperator` blocks.
+
+    The reference the stacked operator is golden-tested against: each
+    product is computed block by block, exactly as the per-tree
+    operators define it. It stands in for the approximator in the
+    solvers (same ``alpha`` and ``num_rows``), so whole solves can be
+    compared too.
+    """
+
+    def __init__(self, approximator) -> None:
+        self.graph = approximator.graph
+        self.operators = approximator.operators
+        self.alpha = approximator.alpha
+        self.num_rows = approximator.num_rows
+
+    def with_parallel(self, parallel) -> "PerTreeReference":
+        return self
+
+    def apply(self, demand, out=None) -> np.ndarray:
+        demand = np.asarray(demand, dtype=float)
+        blocks = [op.apply(demand) for op in self.operators]
+        result = np.concatenate(blocks) if blocks else np.zeros(0)
+        if out is None:
+            return result
+        out[:] = result
+        return out
+
+    def apply_transpose(self, row_values, out=None) -> np.ndarray:
+        row_values = np.asarray(row_values, dtype=float)
+        if out is None:
+            out = np.zeros(self.graph.num_nodes)
+        else:
+            out[:] = 0.0
+        offset = 0
+        for op in self.operators:
+            out += op.apply_transpose(row_values[offset : offset + op.num_rows])
+            offset += op.num_rows
+        return out
+
+    def estimate(self, demand) -> float:
+        return float(np.abs(self.apply(demand)).max(initial=0.0))
+
+
 def build_test_approximator(graph: Graph, seed: int):
     """A deterministic approximator for operator sweeps (fixed alpha so
     no Dinic randomness enters the matrix)."""
@@ -275,12 +321,10 @@ def assert_operator_equivalent(
     )
     assert stacked.estimate(demand, parallel=config) == serial_estimate
 
-    # The per-tree reference path must agree too (transitively pins the
+    # The per-tree reference must agree too (transitively pins the
     # sharded path to the original per-tree operator semantics).
-    per_tree = approximator.with_parallel(None)
-    per_tree.operator_mode = "per_tree"
     assert_arrays_identical(
-        "per_tree.apply", serial_apply, per_tree.apply(demand)
+        "per_tree.apply", serial_apply, PerTreeReference(approximator).apply(demand)
     )
 
     # Shard-plan bookkeeping: every cached plan partitions the trees

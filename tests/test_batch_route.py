@@ -1,14 +1,15 @@
-"""Golden equivalence: batched multi-demand routing vs one-shot calls.
+"""Batched routing: ``FlowServer.route_batch`` vs one-shot calls.
 
-The serving tentpole's contract is *bit-identity per column*: for any
-demand plane, :func:`almost_route_batch` (and its accelerated variant)
-must return, in column q, exactly the flow/residual/counters the
-one-shot call on demand q returns — same ufunc sequence, same fold
-order, same masked freezing of converged columns — under every
+``route_batch`` solves every cache miss through the same one-shot
+solver call a single query uses, so column q of any demand plane must
+equal — bit for bit — the one-shot :func:`almost_route` /
+:func:`accelerated_almost_route` call on demand q under the same
 execution config (serial, sharded thread, sharded process). These
-tests pin that contract across the standard sweep matrix, plus the
-batched kernel substrate (``Graph.excess_batch``,
+tests pin that contract, including zero-demand columns and exhausted
+budgets, plus the plane helpers (``Graph.excess_batch``,
 ``check_demand_batch``) and the workspace ``ensure`` raise contract.
+The one-shot solvers themselves are pinned to recorded goldens in
+``tests/test_solver_golden.py``.
 """
 
 from __future__ import annotations
@@ -23,15 +24,16 @@ from parallel_harness import (
     make_graph,
 )
 from repro.core import (
-    BatchRouteWorkspace,
+    RouteWorkspace,
     accelerated_almost_route,
-    accelerated_almost_route_batch,
     almost_route,
-    almost_route_batch,
 )
 from repro.errors import ConvergenceError, GraphError, InvalidDemandError
 from repro.graphs.generators import random_connected
+from repro.serve import FlowServer
 from repro.util.validation import check_demand_batch, st_demand
+
+ONE_SHOT = {"plain": almost_route, "accelerated": accelerated_almost_route}
 
 
 @pytest.fixture(scope="module")
@@ -42,7 +44,7 @@ def medium():
 
 def _demand_plane(graph, seed, num_queries, zero_row=None):
     """A (Q, n) plane of mean-subtracted random demands; optionally one
-    all-zero row to exercise the inactive-query path."""
+    all-zero row to exercise the zero-demand early return."""
     rng = np.random.default_rng(seed)
     plane = rng.normal(size=(num_queries, graph.num_nodes))
     plane -= plane.mean(axis=1, keepdims=True)
@@ -51,21 +53,35 @@ def _demand_plane(graph, seed, num_queries, zero_row=None):
     return plane
 
 
-def _assert_columns_identical(graph, approx, plane, eps, batch, singles):
-    assert batch.num_queries == len(singles)
-    for q, single in enumerate(singles):
-        assert_arrays_identical(f"flow[{q}]", single.flow, batch.flows[q])
-        assert_arrays_identical(
-            f"residual[{q}]", single.residual, batch.residuals[q]
+def _route(graph, approx, plane, eps, solver="plain", **options):
+    """Route ``plane`` through a fresh server and one-shot calls alike;
+    returns ``(batch columns, one-shot results)``."""
+    parallel = options.get("parallel")
+    budget = options.get("max_iterations")
+    server = FlowServer(graph, approx, epsilon=eps, solver=solver, **options)
+    batch = server.route_batch(plane, use_cache=False)
+    singles = [
+        ONE_SHOT[solver](
+            graph, approx, plane[q], eps, max_iterations=budget,
+            parallel=parallel,
         )
-        assert single.iterations == int(batch.iterations[q])
-        assert single.scalings == int(batch.scalings[q])
-        assert single.potential == float(batch.potentials[q])
-        assert single.delta == float(batch.deltas[q])
-        assert single.converged == bool(batch.converged[q])
-        extracted = batch.query(q)
-        assert_arrays_identical(f"query({q}).flow", single.flow, extracted.flow)
-        assert extracted.iterations == single.iterations
+        for q in range(len(plane))
+    ]
+    return batch, singles
+
+
+def _assert_columns_identical(batch, singles):
+    assert len(batch) == len(singles)
+    for q, (column, single) in enumerate(zip(batch, singles)):
+        assert_arrays_identical(f"flow[{q}]", single.flow, column.flow)
+        assert_arrays_identical(
+            f"residual[{q}]", single.residual, column.residual
+        )
+        assert single.iterations == column.iterations
+        assert single.scalings == column.scalings
+        assert single.potential == column.potential
+        assert single.delta == column.delta
+        assert single.converged == column.converged
 
 
 # ----------------------------------------------------------------------
@@ -74,41 +90,40 @@ def _assert_columns_identical(graph, approx, plane, eps, batch, singles):
 class TestPlainBatchGolden:
     def test_mixed_batch_matches_one_shot(self, medium):
         """Random + s-t + zero demands in one batch: every column equals
-        its one-shot call, including the inactive zero column."""
+        its one-shot call, including the zero column."""
         g, approx = medium
         plane = _demand_plane(g, 7, 6, zero_row=3)
         plane[1] = st_demand(g, 0, g.num_nodes - 1)
-        eps = 0.4
-        singles = [almost_route(g, approx, plane[q], eps) for q in range(6)]
-        batch = almost_route_batch(g, approx, plane, eps)
-        _assert_columns_identical(g, approx, plane, eps, batch, singles)
+        _assert_columns_identical(*_route(g, approx, plane, 0.4))
 
     def test_singleton_batch(self, medium):
         """Q=1 is the degenerate batch: exactly the one-shot call."""
         g, approx = medium
         plane = _demand_plane(g, 11, 1)
-        single = almost_route(g, approx, plane[0], 0.5)
-        batch = almost_route_batch(g, approx, plane, 0.5)
-        _assert_columns_identical(g, approx, plane, 0.5, batch, [single])
+        _assert_columns_identical(*_route(g, approx, plane, 0.5))
 
     def test_empty_batch(self, medium):
         g, approx = medium
-        batch = almost_route_batch(
-            g, approx, np.zeros((0, g.num_nodes)), 0.5
-        )
-        assert batch.num_queries == 0
-        assert batch.flows.shape == (0, g.num_edges)
-        assert batch.converged.shape == (0,)
+        server = FlowServer(g, approx, epsilon=0.5)
+        assert server.route_batch(np.zeros((0, g.num_nodes))) == []
+        assert server.stats().batched_columns == 0
 
     def test_all_zero_batch(self, medium):
-        """Every query inactive: zero flows, demands echoed back."""
+        """Every column zero: zero flows, demands echoed back, nothing
+        iterated — and the zero columns are cached like any other."""
         g, approx = medium
         plane = np.zeros((3, g.num_nodes))
-        batch = almost_route_batch(g, approx, plane, 0.5)
-        assert not batch.flows.any()
-        assert batch.converged.all()
-        assert (batch.iterations == 0).all()
-        assert_arrays_identical("residuals", plane, batch.residuals)
+        server = FlowServer(g, approx, epsilon=0.5)
+        batch = server.route_batch(plane)
+        for q, column in enumerate(batch):
+            assert not column.flow.any()
+            assert column.converged
+            assert column.iterations == 0
+            assert_arrays_identical(f"residual[{q}]", plane[q], column.residual)
+        # The three columns share one digest. The cache split runs
+        # before any solve, so all three miss; the last one solved is
+        # what a later request hits.
+        assert server.route(plane[0]) is batch[-1]
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
@@ -117,33 +132,27 @@ class TestPlainBatchGolden:
         across workers ∈ {1, 2} × {serial, thread, process}."""
         g, approx = medium
         plane = _demand_plane(g, 13, 4, zero_row=2)
-        eps = 0.4
         config = forced(workers, backend)
-        singles = [
-            almost_route(g, approx, plane[q], eps, parallel=config)
-            for q in range(4)
-        ]
-        batch = almost_route_batch(g, approx, plane, eps, parallel=config)
-        _assert_columns_identical(g, approx, plane, eps, batch, singles)
+        batch, singles = _route(g, approx, plane, 0.4, parallel=config)
+        _assert_columns_identical(batch, singles)
         # Cross-config: sharded batch == serial batch too.
-        serial = almost_route_batch(g, approx, plane, eps)
-        assert_arrays_identical("flows[serial-vs-config]", serial.flows, batch.flows)
+        serial, _ = _route(g, approx, plane, 0.4)
+        for q, (want, have) in enumerate(zip(serial, batch)):
+            assert_arrays_identical(f"flows[{q}]", want.flow, have.flow)
 
     def test_budget_and_raise(self, medium):
-        """A tiny budget leaves columns unconverged; raise_on_budget
-        surfaces it, and the partial iterate still matches one-shot."""
+        """A tiny budget leaves columns unconverged: they match the
+        one-shot partial iterate and are flagged; the one-shot
+        ``raise_on_budget`` surfaces the same condition."""
         g, approx = medium
         plane = _demand_plane(g, 17, 3)
-        singles = [
-            almost_route(g, approx, plane[q], 0.4, max_iterations=5)
-            for q in range(3)
-        ]
-        batch = almost_route_batch(g, approx, plane, 0.4, max_iterations=5)
-        _assert_columns_identical(g, approx, plane, 0.4, batch, singles)
-        assert not batch.converged.any()
+        batch, singles = _route(g, approx, plane, 0.4, max_iterations=5)
+        _assert_columns_identical(batch, singles)
+        assert not any(column.converged for column in batch)
         with pytest.raises(ConvergenceError):
-            almost_route_batch(
-                g, approx, plane, 0.4, max_iterations=5, raise_on_budget=True
+            almost_route(
+                g, approx, plane[0], 0.4, max_iterations=5,
+                raise_on_budget=True,
             )
 
 
@@ -154,84 +163,66 @@ class TestAcceleratedBatchGolden:
     def test_mixed_batch_matches_one_shot(self, medium):
         g, approx = medium
         plane = _demand_plane(g, 19, 5, zero_row=4)
-        eps = 0.4
-        singles = [
-            accelerated_almost_route(g, approx, plane[q], eps)
-            for q in range(5)
-        ]
-        batch = accelerated_almost_route_batch(g, approx, plane, eps)
-        _assert_columns_identical(g, approx, plane, eps, batch, singles)
+        _assert_columns_identical(
+            *_route(g, approx, plane, 0.4, solver="accelerated")
+        )
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
     def test_backend_sweep(self, medium, workers, backend):
         g, approx = medium
         plane = _demand_plane(g, 23, 3)
-        eps = 0.4
         config = forced(workers, backend)
-        singles = [
-            accelerated_almost_route(g, approx, plane[q], eps, parallel=config)
-            for q in range(3)
-        ]
-        batch = accelerated_almost_route_batch(
-            g, approx, plane, eps, parallel=config
+        _assert_columns_identical(
+            *_route(
+                g, approx, plane, 0.4, solver="accelerated", parallel=config
+            )
         )
-        _assert_columns_identical(g, approx, plane, eps, batch, singles)
 
     def test_ragged_convergence_freezes_columns(self, medium):
-        """Queries converging at very different iteration counts: the
-        frozen columns' flows must not drift after convergence."""
+        """Columns converging at very different iteration counts: a
+        fast column's answer is final when it converges and does not
+        depend on its slower siblings."""
         g, approx = medium
         plane = _demand_plane(g, 29, 4)
         plane[0] *= 1e-3  # converges fast
         plane[0] -= plane[0].mean()
-        eps = 0.4
-        singles = [
-            accelerated_almost_route(g, approx, plane[q], eps)
-            for q in range(4)
-        ]
-        batch = accelerated_almost_route_batch(g, approx, plane, eps)
-        assert len(set(int(i) for i in batch.iterations)) > 1
-        _assert_columns_identical(g, approx, plane, eps, batch, singles)
+        batch, singles = _route(g, approx, plane, 0.4, solver="accelerated")
+        assert len({column.iterations for column in batch}) > 1
+        _assert_columns_identical(batch, singles)
 
 
 # ----------------------------------------------------------------------
-# Batch workspace: reuse purity and the ensure raise contract
+# Workspace: reuse purity and the ensure raise contract
 # ----------------------------------------------------------------------
 class TestBatchWorkspace:
     def test_workspace_reuse_is_pure(self, medium):
-        """One batch workspace across calls == fresh workspaces."""
+        """The server's one pooled workspace, reused across every column
+        of two batches, gives the answers of fresh per-call buffers."""
         g, approx = medium
-        ws = BatchRouteWorkspace(g, approx, 3)
+        server = FlowServer(g, approx, epsilon=0.4)
         p1 = _demand_plane(g, 31, 3)
         p2 = _demand_plane(g, 37, 3, zero_row=1)
         for plane in (p1, p2):
-            reused = almost_route_batch(g, approx, plane, 0.4, workspace=ws)
-            fresh = almost_route_batch(g, approx, plane, 0.4)
-            assert_arrays_identical("flows", fresh.flows, reused.flows)
-            assert_arrays_identical(
-                "iterations", fresh.iterations, reused.iterations
-            )
+            reused = server.route_batch(plane, use_cache=False)
+            fresh = [almost_route(g, approx, d, 0.4) for d in plane]
+            _assert_columns_identical(reused, fresh)
+        assert server.pool.created_singles == 1
 
     def test_ensure_mismatch_raises(self, medium):
         g, approx = medium
-        ws = BatchRouteWorkspace(g, approx, 3)
-        with pytest.raises(GraphError, match="shape mismatch"):
-            BatchRouteWorkspace.ensure(ws, g, approx, 4)
+        ws = RouteWorkspace(g, approx)
         other = random_connected(12, 0.4, rng=315)
         other_approx = build_test_approximator(other, 316)
         with pytest.raises(GraphError, match="shape mismatch"):
-            BatchRouteWorkspace.ensure(ws, other, other_approx, 3)
-        assert BatchRouteWorkspace.ensure(ws, g, approx, 3) is ws
-        built = BatchRouteWorkspace.ensure(None, g, approx, 2)
-        assert built.shape_key == (
-            2, g.num_edges, g.num_nodes, approx.num_rows
-        )
-
-    def test_zero_queries_rejected(self, medium):
-        g, approx = medium
-        with pytest.raises(GraphError):
-            BatchRouteWorkspace(g, approx, 0)
+            RouteWorkspace.ensure(ws, other, other_approx)
+        with pytest.raises(GraphError, match="shape mismatch"):
+            almost_route(
+                other, other_approx, st_demand(other, 0, 5), 0.4, workspace=ws
+            )
+        assert RouteWorkspace.ensure(ws, g, approx) is ws
+        built = RouteWorkspace.ensure(None, g, approx)
+        assert built.shape_key == (g.num_edges, g.num_nodes, approx.num_rows)
 
 
 # ----------------------------------------------------------------------

@@ -34,7 +34,7 @@ from repro.core import (
     almost_route,
     build_congestion_approximator,
 )
-from repro.core.almost_route import RouteWorkspace, almost_route_batch
+from repro.core.almost_route import RouteWorkspace
 from repro.errors import GraphError
 from repro.graphs.generators import random_connected
 from repro.graphs.graph import Graph
@@ -240,30 +240,29 @@ class TestWarmStart:
             )
 
     def test_batch_seeded_columns_match_one_shot(self, graph):
-        approximator = build_congestion_approximator(graph, rng=715)
+        """A batch mixing a salvaged warm seed and a cold column: each
+        column equals its one-shot solve, seeded resp. cold."""
+        server = FlowServer(graph, epsilon=EPS, rng=715, refresh="incremental")
         demands = np.stack(
             [st_demand(graph, 0, 30), st_demand(graph, 2, 41, 2.0)]
         )
-        previous = [
-            almost_route(graph, approximator, demands[q], EPS)
-            for q in range(2)
-        ]
+        # Only column 0 is cached, so only column 0 gets a seed.
+        previous = server.route(demands[0])
         epoch = graph._version
         _degrade(graph, fraction=0.01, seed=716)
         delta = graph.deltas_since(epoch)
-        approximator.refresh_capacities(delta.edge_ids)
-        # Seed column 0 only; column 1's zero row must stay cold.
-        seeds = np.zeros((2, graph.num_edges))
-        seeds[0] = rescale_flow(previous[0].flow, delta)
-        batch = almost_route_batch(
-            graph, approximator, demands, EPS, initial_flows=seeds
-        )
+        batch = server.route_batch(demands)
+        assert server.stats().warm_starts == 1
         one_warm = almost_route(
-            graph, approximator, demands[0], EPS, initial_flow=seeds[0]
+            graph,
+            server.approximator,
+            demands[0],
+            EPS,
+            initial_flow=rescale_flow(previous.flow, delta),
         )
-        one_cold = almost_route(graph, approximator, demands[1], EPS)
-        assert_arrays_identical("flow", one_warm.flow, batch.query(0).flow)
-        assert_arrays_identical("flow", one_cold.flow, batch.query(1).flow)
+        one_cold = almost_route(graph, server.approximator, demands[1], EPS)
+        assert_arrays_identical("flow", one_warm.flow, batch[0].flow)
+        assert_arrays_identical("flow", one_cold.flow, batch[1].flow)
 
 
 # ----------------------------------------------------------------------

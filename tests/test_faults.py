@@ -437,7 +437,7 @@ class TestServeRecovery:
         assert plan.fired()["serve.checkout"] >= 1
         assert server.health().workspace_fallbacks >= 1
 
-    def test_miss_failure_bisects_and_stays_bit_identical(
+    def test_miss_failure_retries_column_and_stays_bit_identical(
         self, graph, server
     ):
         plane = _plane(graph, 41, 4)
@@ -449,7 +449,52 @@ class TestServeRecovery:
             assert_arrays_identical(f"flow[{q}]", want.flow, have.flow)
             assert want.iterations == have.iterations
         assert plan.fired()["serve.miss"] == 1
-        assert server.health().batch_splits >= 1
+        health = server.health()
+        assert health.miss_retries == 1
+        assert health.column_failures == 0
+
+    def test_single_miss_failure_retries_bit_identically(
+        self, graph, server
+    ):
+        demand = st_demand(graph, 0, graph.num_nodes - 1)
+        baseline = server.route(demand, use_cache=False)
+        plan = FaultPlan(["serve.miss@1"])
+        with use_faults(plan):
+            served = server.route(demand, use_cache=False)
+        assert_arrays_identical("flow", baseline.flow, served.flow)
+        assert plan.fired()["serve.miss"] == 1
+        assert server.health().miss_retries == 1
+
+    def test_second_miss_failure_fails_that_column_only(
+        self, graph, server
+    ):
+        """A column whose solve fails twice (first attempt and its one
+        retry) ends as a ServingError with the cause chained; every
+        other column routes normally, bit-identically."""
+        plane = _plane(graph, 44, 3)
+        baseline = server.route_batch(plane, use_cache=False)
+        plan = FaultPlan(["serve.miss@1*2"])
+        with use_faults(plan):
+            results = server.route_batch(
+                plane, use_cache=False, errors="return"
+            )
+        failure = results[0]
+        assert isinstance(failure, ServingError)
+        assert "column 0" in str(failure)
+        assert isinstance(failure.__cause__, InjectedFault)
+        for q in (1, 2):
+            assert_arrays_identical(
+                f"flow[{q}]", baseline[q].flow, results[q].flow
+            )
+        assert plan.fired()["serve.miss"] == 2
+        health = server.health()
+        assert health.miss_retries == 1
+        assert health.column_failures == 1
+        # The single-query entry point raises the same typed error.
+        with use_faults(FaultPlan(["serve.miss@1*2"])):
+            with pytest.raises(ServingError) as excinfo:
+                server.route(plane[1], use_cache=False)
+        assert isinstance(excinfo.value.__cause__, InjectedFault)
 
     def test_poisoned_column_is_isolated_with_cause_chain(
         self, graph, server
@@ -509,8 +554,8 @@ class TestServeRecovery:
 
     @needs_fork
     def test_breaker_degrades_process_thread_serial(self):
-        # Beyond TINY_GRAPH_LIMIT so the adaptive operator actually
-        # takes the sharded path (tiny graphs never touch the pool).
+        # forced() shards every operator product, so each solve step
+        # runs on the faulty pool.
         graph = random_connected(72, 0.08, rng=101)
         plan = FaultPlan(["pool.worker*inf"])
         flaky = FlowServer(

@@ -4,6 +4,8 @@ The serving layer's contracts under test:
 
 * batched serving is bit-identical per column to the one-shot
   ``server.route`` answers (so the shared cache namespace is sound);
+* only converged results are cached: a budget-exhausted answer is
+  returned flagged and re-solved on the next request;
 * a graph mutation (``set_capacity`` or ``add_edge``) after a cached
   query makes the next lookup miss, the cache invalidates **exactly
   once** per mutation, and an old-epoch result is never served;
@@ -98,24 +100,6 @@ class TestServing:
             FlowServer(graph, refresh="ignore")
         with pytest.raises(GraphError):
             FlowServer(graph, epsilon=0.0)
-        with pytest.raises(GraphError):
-            FlowServer(graph, max_batch=0)
-
-    def test_chunked_batches_are_bit_identical(self, graph):
-        """max_batch only regroups columns — results never change."""
-        plane = _plane(graph, 617, 5)
-        whole = FlowServer(graph, epsilon=EPS, rng=602, max_batch=None)
-        chunked = FlowServer(graph, epsilon=EPS, rng=602, max_batch=2)
-        for a, b in zip(
-            whole.route_batch(plane, use_cache=False),
-            chunked.route_batch(plane, use_cache=False),
-        ):
-            assert_arrays_identical("flow", a.flow, b.flow)
-            assert a.iterations == b.iterations
-            assert a.potential == b.potential
-        # Chunks of 2, 2, 1: two distinct batch-workspace sizes built,
-        # the size-2 one reused across chunks.
-        assert chunked.pool.created_batches == 2
 
 
 # ----------------------------------------------------------------------
@@ -157,6 +141,24 @@ class TestCacheHits:
         stats = fresh.stats()
         assert stats.cache.hits == 2
         assert stats.batched_columns == 4
+
+    def test_unconverged_results_are_not_cached(self):
+        """A budget-exhausted answer is served flagged but never cached:
+        a repeated low-budget query re-solves every time."""
+        graph = random_connected(64, 0.1, rng=3)
+        server = FlowServer(graph, max_iterations=2, rng=4)
+        demand = st_demand(graph, 0, 5)
+        first = server.route(demand)
+        second = server.route(demand)
+        assert not first.converged and not second.converged
+        assert first is not second
+        assert_arrays_identical("flow", first.flow, second.flow)
+        batch = server.route_batch(np.stack([demand, demand]))
+        assert not any(column.converged for column in batch)
+        stats = server.stats()
+        assert stats.cache.hits == 0
+        assert stats.unconverged == 4
+        assert len(server.cache) == 0
 
     def test_use_cache_false_bypasses(self, graph, server):
         demand = st_demand(graph, 2, 9)
@@ -322,25 +324,17 @@ class TestWorkspacePool:
             server.route(plane[q], use_cache=False)
         pool = server.pool
         assert pool.created_singles == 1
-        assert pool.pooled_counts() == (1, 0)
-
-    def test_batch_workspace_reused_per_size(self, graph, server):
-        for seed in (612, 613):
-            server.route_batch(_plane(graph, seed, 3), use_cache=False)
-        server.route_batch(_plane(graph, 614, 2), use_cache=False)
-        pool = server.pool
-        assert pool.created_batches == 2  # one for Q=3, one for Q=2
-        assert pool.pooled_counts() == (0, 2)
+        assert pool.pooled_count() == 1
 
     def test_rebind_drops_stale_shapes(self, graph, server):
         server.route(st_demand(graph, 0, 7), use_cache=False)
-        assert server.pool.pooled_counts()[0] == 1
+        assert server.pool.pooled_count() == 1
         graph.add_edge(0, graph.num_nodes - 1, 1.0)
         server.route(st_demand(graph, 0, 7), use_cache=False)
         # The old m-shaped workspace was dropped; a new one was built
         # for the grown edge count and pooled.
         assert server.pool.created_singles == 2
-        assert server.pool.pooled_counts()[0] == 1
+        assert server.pool.pooled_count() == 1
 
     def test_release_rejects_stale_workspace(self, graph):
         server = FlowServer(graph, epsilon=EPS, rng=602)
@@ -348,7 +342,7 @@ class TestWorkspacePool:
         graph.add_edge(0, graph.num_nodes - 1, 1.0)
         server.route(st_demand(graph, 0, 5))  # triggers rebind
         server.pool.release(ws)  # stale shape: silently dropped
-        pooled_singles = server.pool.pooled_counts()[0]
+        pooled_singles = server.pool.pooled_count()
         assert all(
             pooled.shape_key
             == (graph.num_edges, graph.num_nodes, server.approximator.num_rows)
@@ -360,7 +354,7 @@ class TestWorkspacePool:
         server.route(st_demand(graph, 0, 7), use_cache=False)
         server.route_batch(_plane(graph, 615, 2), use_cache=False)
         server.pool.flush()
-        assert server.pool.pooled_counts() == (0, 0)
+        assert server.pool.pooled_count() == 0
 
 
 # ----------------------------------------------------------------------

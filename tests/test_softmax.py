@@ -88,8 +88,8 @@ class TestGradient:
 
 
 class TestFusedExp:
-    """The single-``np.exp`` pair-buffer path is golden bit-identical
-    to the split two-exp path and to the pre-fusion implementation."""
+    """The single-``np.exp`` pair-buffer path, buffered or not, is
+    golden bit-identical to the pre-fusion two-exp implementation."""
 
     @staticmethod
     def _legacy_reference(y: np.ndarray) -> tuple[float, np.ndarray]:
@@ -111,18 +111,11 @@ class TestFusedExp:
         out = np.empty(k)
         pair = np.empty(2 * k)
         value_pair, grad_pair = smax_and_gradient(y, out=out, scratch=pair)
-        split_out = np.empty(k)
-        split_scratch = np.empty(k)
-        value_split, grad_split = smax_and_gradient(
-            y, out=split_out, scratch=split_scratch
-        )
 
-        assert value_fused == golden_value == value_pair == value_split
+        assert value_fused == golden_value == value_pair
         assert grad_pair is out
-        assert grad_split is split_out
         assert np.array_equal(golden_grad, grad_fused)
         assert np.array_equal(golden_grad, grad_pair)
-        assert np.array_equal(golden_grad, grad_split)
 
     def test_pair_buffer_is_allocation_site(self):
         """With out= and a pair scratch the gradient lands in out and
@@ -136,6 +129,16 @@ class TestFusedExp:
         assert np.array_equal(pair[:8], np.exp(y - m))
         assert np.array_equal(pair[8:], np.exp(-y - m))
 
+    @pytest.mark.parametrize("size", [0, 1, 7, 9, 15])
+    def test_rejects_scratch_not_shaped_2k(self, size):
+        """Only a (2k,) pair buffer is accepted: a (k,) buffer would
+        leave an empty second half and a silently wrong gradient."""
+        y = np.linspace(-2.0, 2.0, 8)
+        with pytest.raises(GraphError, match="scratch must have shape"):
+            smax_and_gradient(y, out=np.empty(8), scratch=np.empty(size))
+        with pytest.raises(GraphError, match="scratch must have shape"):
+            smax_and_gradient(y, scratch=np.empty((2, 8)))
+
     def test_pair_scratch_rejects_alias(self):
         base = np.zeros(16)
         y = base[:8]
@@ -144,9 +147,8 @@ class TestFusedExp:
 
 
 class TestBatchPlane:
-    """The ``(Q, k)`` plane form is golden bit-identical per row to the
-    1-D fused path (the contract the batched AlmostRoute loop rides
-    on)."""
+    """The ``(Q, k)`` plane form equals the 1-D fused path row for
+    row."""
 
     @pytest.mark.parametrize("shape", [(1, 1), (1, 64), (7, 33), (16, 256)])
     def test_rows_bit_identical_to_1d(self, shape):

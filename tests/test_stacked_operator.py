@@ -1,11 +1,12 @@
 """Golden equivalence: flat stacked operator vs per-tree blocks.
 
-The contract (ISSUE 3, matching the PR 1 adaptive-path convention) is
-*exact* float equality on the shared evaluation order: the flat fused
-pass of :class:`StackedTreeOperator` must reproduce the per-tree
-``TreeOperator`` loop bit for bit — same row order, same accumulation
-folds — for ``apply``, ``apply_transpose`` and ``estimate``, and hence
-AlmostRoute must return identical results on either path.
+The contract is *exact* float equality on the shared evaluation order:
+the flat fused pass of :class:`StackedTreeOperator` (the approximator's
+only product path) must reproduce the per-tree ``TreeOperator`` blocks
+bit for bit — same row order, same accumulation folds — for ``apply``,
+``apply_transpose`` and ``estimate``, and hence AlmostRoute must return
+identical results through the per-tree reference
+(:class:`parallel_harness.PerTreeReference`).
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from repro.core import (
     min_congestion_flow,
     smax_and_gradient,
 )
+from parallel_harness import PerTreeReference
 from repro.core.approximator import TreeOperator
 from repro.errors import GraphError
 from repro.graphs.generators import grid, random_connected
@@ -33,12 +35,8 @@ from repro.util.validation import st_demand
 
 
 def _modes(approx, fn):
-    approx.operator_mode = "per_tree"
-    per_tree = fn()
-    approx.operator_mode = "flat"
-    flat = fn()
-    approx.operator_mode = "adaptive"
-    return per_tree, flat
+    """``fn`` run on the per-tree reference, then on the approximator."""
+    return fn(PerTreeReference(approx)), fn(approx)
 
 
 @pytest.fixture(scope="module")
@@ -54,7 +52,7 @@ class TestGoldenEquivalence:
         for _ in range(10):
             b = rng.normal(size=g.num_nodes)
             b -= b.mean()
-            per_tree, flat = _modes(approx, lambda: approx.apply(b))
+            per_tree, flat = _modes(approx, lambda a: a.apply(b))
             assert np.array_equal(per_tree, flat)
 
     def test_apply_transpose_random_rows(self, medium):
@@ -62,7 +60,7 @@ class TestGoldenEquivalence:
         rng = np.random.default_rng(304)
         for _ in range(10):
             y = rng.normal(size=approx.num_rows)
-            per_tree, flat = _modes(approx, lambda: approx.apply_transpose(y))
+            per_tree, flat = _modes(approx, lambda a: a.apply_transpose(y))
             assert np.array_equal(per_tree, flat)
 
     def test_estimate_identical(self, medium):
@@ -71,16 +69,16 @@ class TestGoldenEquivalence:
         for _ in range(5):
             b = rng.normal(size=g.num_nodes)
             b -= b.mean()
-            per_tree, flat = _modes(approx, lambda: approx.estimate(b))
+            per_tree, flat = _modes(approx, lambda a: a.estimate(b))
             assert per_tree == flat
 
     def test_zero_demand(self, medium):
         g, approx = medium
         zero = np.zeros(g.num_nodes)
-        per_tree, flat = _modes(approx, lambda: approx.apply(zero))
+        per_tree, flat = _modes(approx, lambda a: a.apply(zero))
         assert np.array_equal(per_tree, flat)
         assert not flat.any()
-        per_tree, flat = _modes(approx, lambda: approx.estimate(zero))
+        per_tree, flat = _modes(approx, lambda a: a.estimate(zero))
         assert per_tree == flat == 0.0
 
     def test_grid_graph_stack(self):
@@ -90,10 +88,8 @@ class TestGoldenEquivalence:
         b = rng.normal(size=g.num_nodes)
         b -= b.mean()
         y = rng.normal(size=approx.num_rows)
-        assert np.array_equal(*_modes(approx, lambda: approx.apply(b)))
-        assert np.array_equal(
-            *_modes(approx, lambda: approx.apply_transpose(y))
-        )
+        assert np.array_equal(*_modes(approx, lambda a: a.apply(b)))
+        assert np.array_equal(*_modes(approx, lambda a: a.apply_transpose(y)))
 
     def test_single_node_trees(self):
         """Trees with no rows at all: empty products, zero potentials."""
@@ -105,12 +101,11 @@ class TestGoldenEquivalence:
             alpha=1.0,
         )
         assert approx.num_rows == 0
-        for mode in ("per_tree", "flat"):
-            approx.operator_mode = mode
-            assert approx.apply(np.zeros(1)).shape == (0,)
-            out = approx.apply_transpose(np.zeros(0))
+        for path in (PerTreeReference(approx), approx):
+            assert path.apply(np.zeros(1)).shape == (0,)
+            out = path.apply_transpose(np.zeros(0))
             assert np.array_equal(out, np.zeros(1))
-            assert approx.estimate(np.zeros(1)) == 0.0
+            assert path.estimate(np.zeros(1)) == 0.0
 
     def test_multi_tree_stack_row_order(self, medium):
         """The flat row order is the per-tree concatenation order."""
@@ -125,26 +120,6 @@ class TestGoldenEquivalence:
         alien = TreeOperator(RootedTree([-1, 0], capacity=[0.0, 1.0]))
         with pytest.raises(GraphError):
             StackedTreeOperator(approx.operators + [alien], g.num_nodes)
-
-    def test_unknown_mode_rejected(self, medium):
-        _, approx = medium
-        approx.operator_mode = "magic"
-        try:
-            with pytest.raises(GraphError):
-                approx.apply(np.zeros(approx.graph.num_nodes))
-        finally:
-            approx.operator_mode = "adaptive"
-
-    def test_adaptive_dispatch_follows_tiny(self, medium):
-        g, approx = medium
-        assert not g.is_tiny()
-        assert approx._use_flat()
-        tiny = random_connected(8, 0.5, rng=309)
-        tiny_approx = build_congestion_approximator(
-            tiny, num_trees=2, rng=310
-        )
-        assert tiny.is_tiny()
-        assert not tiny_approx._use_flat()
 
 
 class TestOutBuffers:
@@ -201,7 +176,7 @@ class TestOutBuffers:
         y = rng.normal(size=257) * 30.0
         value, gradient = smax_and_gradient(y)
         out = np.empty_like(y)
-        scratch = np.empty_like(y)
+        scratch = np.empty(2 * y.size)
         value_buf, gradient_buf = smax_and_gradient(y, out=out, scratch=scratch)
         assert value == value_buf
         assert gradient_buf is out
@@ -225,7 +200,7 @@ class TestEndToEndIdentity:
         g, approx = medium
         demand = st_demand(g, 0, g.num_nodes - 1)
         per_tree, flat = _modes(
-            approx, lambda: almost_route(g, approx, demand, 0.4)
+            approx, lambda a: almost_route(g, a, demand, 0.4)
         )
         assert per_tree.iterations == flat.iterations
         assert per_tree.scalings == flat.scalings
@@ -238,7 +213,7 @@ class TestEndToEndIdentity:
         g, approx = medium
         demand = st_demand(g, 2, 11)
         per_tree, flat = _modes(
-            approx, lambda: accelerated_almost_route(g, approx, demand, 0.4)
+            approx, lambda a: accelerated_almost_route(g, a, demand, 0.4)
         )
         assert per_tree.iterations == flat.iterations
         assert np.array_equal(per_tree.flow, flat.flow)
@@ -312,9 +287,8 @@ class TestAlphaEstimateGuard:
 
 
 class TestBatchedOperator:
-    """The multi-RHS ``(Q, ·)`` paths of the stacked operator are
-    golden bit-identical per row to the 1-D paths (and hence,
-    transitively, to the per-tree reference), serial and sharded."""
+    """The ``(Q, ·)`` plane forms of the stacked operator equal the 1-D
+    products row for row, serial and sharded."""
 
     def _planes(self, g, approx, num_queries, seed):
         rng = np.random.default_rng(seed)
@@ -326,7 +300,7 @@ class TestBatchedOperator:
     def test_apply_batch_rows_match_1d(self, medium):
         g, approx = medium
         demands, _ = self._planes(g, approx, 6, 401)
-        plane = approx.apply_batch(demands)
+        plane = approx.stacked().apply_batch(demands)
         assert plane.shape == (6, approx.num_rows)
         for q in range(6):
             assert np.array_equal(approx.apply(demands[q]), plane[q])
@@ -334,28 +308,21 @@ class TestBatchedOperator:
     def test_apply_transpose_batch_rows_match_1d(self, medium):
         g, approx = medium
         _, rows = self._planes(g, approx, 6, 402)
-        plane = approx.apply_transpose_batch(rows)
+        plane = approx.stacked().apply_transpose_batch(rows)
         assert plane.shape == (6, g.num_nodes)
         for q in range(6):
             assert np.array_equal(approx.apply_transpose(rows[q]), plane[q])
 
-    def test_estimate_batch_rows_match_1d(self, medium):
-        g, approx = medium
-        demands, _ = self._planes(g, approx, 5, 403)
-        demands[2] = 0.0  # zero row: estimate must be exactly 0.0
-        norms = approx.estimate_batch(demands)
-        for q in range(5):
-            assert float(norms[q]) == approx.estimate(demands[q])
-
     def test_out_buffers(self, medium):
         g, approx = medium
         demands, rows = self._planes(g, approx, 4, 404)
+        stacked = approx.stacked()
         out_rows = np.empty((4, approx.num_rows))
-        assert approx.apply_batch(demands, out=out_rows) is out_rows
-        assert np.array_equal(approx.apply_batch(demands), out_rows)
+        assert stacked.apply_batch(demands, out=out_rows) is out_rows
+        assert np.array_equal(stacked.apply_batch(demands), out_rows)
         out_pots = np.empty((4, g.num_nodes))
-        assert approx.apply_transpose_batch(rows, out=out_pots) is out_pots
-        assert np.array_equal(approx.apply_transpose_batch(rows), out_pots)
+        assert stacked.apply_transpose_batch(rows, out=out_pots) is out_pots
+        assert np.array_equal(stacked.apply_transpose_batch(rows), out_pots)
 
     def test_sharded_batch_identical(self, medium):
         """Sharded batched products == serial batched products, bit for
@@ -368,7 +335,6 @@ class TestBatchedOperator:
         demands, rows = self._planes(g, approx, 5, 405)
         serial_apply = stacked.apply_batch(demands).copy()
         serial_transpose = stacked.apply_transpose_batch(rows).copy()
-        serial_estimate = stacked.estimate_batch(demands).copy()
         for workers in (2, 3):
             for backend in ("serial", "thread"):
                 config = ParallelConfig(
@@ -382,13 +348,10 @@ class TestBatchedOperator:
                     serial_transpose,
                     stacked.apply_transpose_batch(rows, parallel=config),
                 )
-                assert np.array_equal(
-                    serial_estimate,
-                    stacked.estimate_batch(demands, parallel=config),
-                )
 
     def test_batch_scratch_reuse_is_pure(self, medium):
-        """The cached per-Q scratch planes must not leak state."""
+        """The operator's reused scratch must not leak state across
+        plane rows or calls."""
         g, approx = medium
         stacked = approx.stacked()
         demands, rows = self._planes(g, approx, 3, 406)

@@ -12,9 +12,10 @@ multi-source hop distances and the stacked MWU length evaluation under
 the ``REPRO_WORKERS=2`` thread-pool config, compared against the
 checked-in *sharded* medians; the live serial-vs-sharded ratio is
 printed alongside for visibility) and the serving rows
-``route_batch_q{8,64}_n1024`` (median wall-clock of one stacked
-``almost_route_batch`` call, compared against the checked-in *batched*
-medians with the live sequential-vs-batched ratio printed alongside)
+``route_batch_q{8,64}_n1024`` (median wall-clock of one uncached
+``FlowServer.route_batch`` call, compared against the checked-in
+*batched* medians with the live sequential-vs-batched ratio printed
+alongside)
 and fails — exit code 1 — if any median regresses more than
 ``--factor`` (default 2×) versus the checked-in
 ``BENCH_graphcore.json`` baseline.

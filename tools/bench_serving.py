@@ -8,12 +8,12 @@ service is measured, in the standup → run → analysis → report shape:
    approximator build the serve-many economics amortize).
 2. **Run** —
    * *batch throughput*: route ``Q`` fresh demands at ``n`` through
-     ``server.route_batch`` (accelerated solver, chunked stacked
-     batches) and compare aggregate throughput against ``Q`` sequential
+     ``server.route_batch`` (accelerated solver, one solve per column)
+     and compare aggregate throughput against ``Q`` sequential
      one-shot ``almost_route`` calls on the **same approximator** — the
      pre-serving workflow — plus a solver-matched control of ``Q``
      sequential ``accelerated_almost_route`` calls, so the report
-     separates the solver's contribution from the batching's.
+     separates the solver's contribution from the serving layer's.
    * *sustained load*: an open-loop arrival process (Poisson, rate set
      as a fraction of the server's measured capacity, arrival times
      fixed in advance so queueing delay is charged to latency) over a
@@ -115,8 +115,8 @@ def _percentile(sorted_values: list[float], q: float) -> float:
 
 
 def run_batch_throughput(profile: str) -> dict:
-    """Aggregate throughput: chunked batch serving vs sequential
-    one-shot calls on one shared approximator."""
+    """Aggregate throughput: batch serving vs sequential one-shot calls
+    on one shared approximator."""
     n, p, num_queries, epsilon = THROUGHPUT_PROFILES[profile]
     print(f"[standup] building n={n} graph + approximator ...")
     graph = random_connected(n, p, rng=GRAPH_SEED)
@@ -160,7 +160,6 @@ def run_batch_throughput(profile: str) -> dict:
         "num_queries": num_queries,
         "epsilon": epsilon,
         "solver": "accelerated",
-        "max_batch": server.max_batch,
         "approximator_build_s": round(build_s, 4),
         "sequential_plain_s": round(sequential_plain_s, 4),
         "sequential_plain_qps": round(num_queries / sequential_plain_s, 3),
@@ -361,7 +360,7 @@ def main(argv: list[str] | None = None) -> int:
             "time to route Q fresh demands — sequential one-shot "
             "almost_route calls on a shared approximator (the pre-serving "
             "workflow) vs sequential accelerated calls (solver-matched "
-            "control) vs the server's chunked accelerated batch; "
+            "control) vs the server's accelerated route_batch; "
             "batch_qN_speedup = sequential_plain_s / batched_s. "
             "sustained_load: open-loop Poisson arrivals of mixed "
             "single/batch queries with a popular-repeat fraction; "

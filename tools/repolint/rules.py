@@ -555,9 +555,8 @@ class EpochDiscipline(Rule):
 class HotPathAlloc(Rule):
     """``@hot_kernel`` functions may not allocate outside ``# alloc-ok``.
 
-    PR 3 made AlmostRoute's inner loop allocation-free on a reusable
-    workspace; PR 6 extended the contract to the batched plane solvers.
-    The ``@hot_kernel`` decorator (repro.util.hotpath) marks the
+    AlmostRoute's inner loop is allocation-free on a reusable
+    workspace. The ``@hot_kernel`` decorator (repro.util.hotpath) marks the
     functions under that contract; inside them, allocating NumPy
     constructors are findings unless the line carries ``# alloc-ok
     (reason)`` — the escape hatch for unbuffered-caller fallbacks.

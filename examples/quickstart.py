@@ -26,7 +26,8 @@ def main() -> None:
     #    from the recursive j-tree hierarchy (Theorem 8.10 + Lemma 3.3).
     approximator = build_congestion_approximator(graph, rng=13)
     print(f"approximator: {approximator.num_trees} trees, "
-          f"{approximator.num_rows} cut rows, alpha={approximator.alpha:.2f}")
+          f"{approximator.num_rows} distinct cuts of "
+          f"{approximator.tree_rows} tree rows, alpha={approximator.alpha:.2f}")
 
     # 3. Approximate max flow (Algorithms 1 + 2).
     result = max_flow(graph, source, sink, epsilon=0.25,

@@ -19,7 +19,10 @@ product (for y) and one Rᵀ product (for the node potentials π); then
 ``∂φ₂/∂f_e = 2α (π_head − π_tail)``. Distributedly these are the
 convergecast/downcast of Corollary 9.3; here they are one flat stacked
 pass over all virtual trees
-(:class:`~repro.core.stacked.StackedTreeOperator`).
+(:class:`~repro.core.stacked.StackedTreeOperator`). R's rows are its
+distinct cuts, and the φ₂ soft-max weights each by the number of tree
+rows it stands for — the same potential and edge gradient as the full
+tree stack (see :mod:`repro.core.stacked`, "Distinct-cut rows").
 
 The inner loop is **allocation free**: every per-iteration vector
 (residual, y, gradients, sign-step) lives in a
@@ -73,10 +76,16 @@ class RouteWorkspace:
     """Preallocated buffers for the AlmostRoute inner loop.
 
     One workspace is sized for one (graph, approximator) pair — m-, n-
-    and num_rows-shaped vectors — and is reused across gradient steps
+    and tree_rows-shaped vectors — and is reused across gradient steps
     and across AlmostRoute calls. Build it once per solve sweep
     (``min_congestion_flow`` and ``max_flow_binary_search`` do this
     automatically) and hand it to every call on the same pair.
+
+    The row buffers hold every tree row (``approximator.tree_rows``);
+    each solve runs on their leading ``num_rows`` (distinct-cut)
+    entries, bound by :meth:`ensure` together with the approximator's
+    ``multiplicity``. A refresh that resamples trees changes
+    ``num_rows`` but never ``tree_rows``, so the workspace survives it.
     """
 
     def __init__(
@@ -84,7 +93,7 @@ class RouteWorkspace:
     ) -> None:
         m = graph.num_edges
         n = graph.num_nodes
-        rows = approximator.num_rows
+        rows = approximator.tree_rows
         # Shape-derived only — deliberately epoch-independent. A
         # capacity-only mutation (set_capacity) changes no buffer shape,
         # so pooled workspaces must survive it; the incremental serving
@@ -102,14 +111,24 @@ class RouteWorkspace:
         self.excess = np.empty(n)
         self.residual = np.empty(n)
         self.pi = np.empty(n)
-        # row-shaped
-        self.y = np.empty(rows)
-        self.g2 = np.empty(rows)
         # Soft-max pair scratches (2×-shaped): both exponential halves
         # of smax_and_gradient live in one contiguous buffer so a
         # single np.exp evaluates them (see repro.core.softmax).
         self.m_scratch = np.empty(2 * m)
-        self.r_scratch = np.empty(2 * rows)
+        # row-shaped, bound to the distinct-cut prefix by _bind_rows
+        self._y = np.empty(rows)
+        self._g2 = np.empty(rows)
+        self._r_pair = np.empty(2 * rows)
+        self._bind_rows(approximator)
+
+    def _bind_rows(self, approximator: TreeCongestionApproximator) -> None:
+        """Point ``y`` / ``g2`` / ``r_scratch`` at the leading
+        ``num_rows`` entries and take the soft-max row weights."""
+        rows = approximator.num_rows
+        self.y = self._y[:rows]
+        self.g2 = self._g2[:rows]
+        self.r_scratch = self._r_pair[: 2 * rows]
+        self.row_weights = approximator.multiplicity
 
     @classmethod
     def ensure(
@@ -118,7 +137,7 @@ class RouteWorkspace:
         graph: Graph,
         approximator: TreeCongestionApproximator,
     ) -> "RouteWorkspace":
-        """Return ``workspace`` if it fits the pair, build one if None.
+        """Return ``workspace`` bound to the pair, build one if None.
 
         A workspace sized for a *different* (graph, approximator) pair
         is an error, not a silent rebuild: the caller handed over
@@ -130,15 +149,16 @@ class RouteWorkspace:
             GraphError: If ``workspace.shape_key`` does not match the
                 pair, naming the expected and actual sizes.
         """
-        key = (graph.num_edges, graph.num_nodes, approximator.num_rows)
+        key = (graph.num_edges, graph.num_nodes, approximator.tree_rows)
         if workspace is None:
             return cls(graph, approximator)
         if workspace.shape_key != key:
             raise GraphError(
                 "workspace shape mismatch: built for (num_edges, "
-                f"num_nodes, num_rows)={workspace.shape_key}, but this "
+                f"num_nodes, tree_rows)={workspace.shape_key}, but this "
                 f"(graph, approximator) pair needs {key}"
             )
+        workspace._bind_rows(approximator)
         return workspace
 
 
@@ -165,7 +185,9 @@ def _evaluate(
     phi1, _ = smax_and_gradient(ws.c1, out=ws.g1, scratch=ws.m_scratch)
     approximator.apply(ws.residual, out=ws.y)
     np.multiply(ws.y, two_alpha, out=ws.y)
-    phi2, _ = smax_and_gradient(ws.y, out=ws.g2, scratch=ws.r_scratch)
+    phi2, _ = smax_and_gradient(
+        ws.y, out=ws.g2, scratch=ws.r_scratch, weights=ws.row_weights
+    )
     return phi1 + phi2
 
 
@@ -181,7 +203,9 @@ def _rescale_cached(ws: RouteWorkspace) -> float:
     np.multiply(ws.c1, SCALE_STEP, out=ws.c1)
     np.multiply(ws.y, SCALE_STEP, out=ws.y)
     phi1, _ = smax_and_gradient(ws.c1, out=ws.g1, scratch=ws.m_scratch)
-    phi2, _ = smax_and_gradient(ws.y, out=ws.g2, scratch=ws.r_scratch)
+    phi2, _ = smax_and_gradient(
+        ws.y, out=ws.g2, scratch=ws.r_scratch, weights=ws.row_weights
+    )
     return phi1 + phi2
 
 

@@ -18,7 +18,13 @@ convergecast/downcast of Corollary 9.3.
 The products run as one flat fused pass over the whole stack
 (:class:`~repro.core.stacked.StackedTreeOperator`: one gather /
 segmented-cumsum / scatter pass; see that module's docstring for the
-stacked-segment layout). The per-tree :meth:`TreeOperator.apply` /
+stacked-segment layout). Rows that repeat a cut another tree already
+contributes (the same vertex set up to complement) are evaluated once:
+``num_rows`` counts the distinct cuts and ``multiplicity`` how many tree
+rows each stands for, while ``tree_rows`` (``Σ(n−1)``) counts the rows
+before deduplication. ``tree_rows`` is stable across every capacity
+refresh; ``num_rows`` (distinct cuts) may change when a refresh
+resamples trees. The per-tree :meth:`TreeOperator.apply` /
 :meth:`TreeOperator.apply_transpose` are kept only as the reference the
 stacked operator is golden-tested against.
 """
@@ -218,7 +224,20 @@ class TreeCongestionApproximator:
 
     @property
     def num_rows(self) -> int:
+        """Rows R evaluates: one per distinct cut (may change when a
+        refresh resamples trees)."""
+        return self.stacked().num_rows
+
+    @property
+    def tree_rows(self) -> int:
+        """Tree rows before deduplication, ``Σ(n−1)`` — stable across
+        every capacity refresh; workspaces are sized by it."""
         return sum(op.num_rows for op in self.operators)
+
+    @property
+    def multiplicity(self) -> np.ndarray:
+        """Tree rows per distinct cut (the soft-max weights)."""
+        return self.stacked().multiplicity
 
     def stacked(self) -> StackedTreeOperator:
         """The flat fused operator (built lazily, then cached; the
@@ -232,7 +251,7 @@ class TreeCongestionApproximator:
     def apply(
         self, demand: np.ndarray, out: np.ndarray | None = None
     ) -> np.ndarray:
-        """Compute R·b (concatenated over trees); ``out=`` (shape
+        """Compute R·b, one entry per distinct cut; ``out=`` (shape
         ``(num_rows,)``) makes the call allocation free."""
         return self.stacked().apply(
             np.asarray(demand, dtype=float), out=out, parallel=self.parallel
@@ -281,9 +300,11 @@ class TreeCongestionApproximator:
         The cached stacked operator is patched in place when no tree
         was resampled (shard views keep aliasing the same base vector;
         their shared-memory export tags advance) and dropped for lazy
-        rebuild otherwise — row counts are stable either way (every
-        spanning tree has n-1 rows), so existing ``RouteWorkspace``
-        objects stay valid.
+        rebuild otherwise. ``tree_rows`` is stable either way (every
+        spanning tree has n-1 rows); ``num_rows`` (distinct cuts) may
+        change after a resample. Workspaces are sized by ``tree_rows``
+        and bind the current ``num_rows`` per solve, so existing
+        ``RouteWorkspace`` objects stay valid.
 
         ``alpha`` is deliberately kept: the estimate's safety factor
         absorbs small-delta drift, and refreshing rows to exact cuts

@@ -23,6 +23,17 @@ buffered and unbuffered calls execute the identical per-element
 operations and the identical two-half summation fold, so results are
 bit-identical (golden-tested in ``tests/test_softmax.py``).
 
+``weights=`` evaluates the multiplicity-weighted form
+``log Σ_i w_i·(e^{y_i} + e^{-y_i})`` with gradient
+``w_i·(e^{y_i} − e^{-y_i}) / Σ_j w_j·(e^{y_j} + e^{-y_j})``: with
+integer ``w`` it is the soft-max of ``y`` with entry ``i`` repeated
+``w_i`` times, and the gradient entry is the sum over those copies.
+The solvers pass the stacked operator's ``multiplicity`` here, so each
+distinct cut of R is evaluated once (see
+:mod:`repro.core.stacked`, "Distinct-cut rows"). The weights scale both
+exponential halves in place before the sum, so an all-ones vector
+(×1.0 is exact) is bit-identical to ``weights=None``.
+
 :func:`smax_and_gradient_batch` is a row-by-row loop over a ``(Q, k)``
 plane; each row is one :func:`smax_and_gradient` call. The solvers do
 not use it; it stays because the traced benchmark (perfbench/spans.py)
@@ -74,6 +85,7 @@ def smax_and_gradient(
     y: np.ndarray,
     out: np.ndarray | None = None,
     scratch: np.ndarray | None = None,
+    weights: np.ndarray | None = None,
 ) -> tuple[float, np.ndarray]:
     """Return ``(smax(y), grad smax(y))`` sharing one pass.
 
@@ -83,9 +95,13 @@ def smax_and_gradient(
         scratch: Optional ``(2k,)`` pair buffer: both exponential halves
             live in it and a single ``np.exp`` call evaluates them. With
             ``out`` and ``scratch`` the call allocates nothing.
+        weights: Optional ``(k,)`` non-negative multiplicities: entry
+            ``i`` counts ``weights[i]`` times in the sum, and its
+            gradient entry is the sum over those copies.
 
     Raises:
-        GraphError: If a buffer aliases ``y`` or ``scratch`` is not
+        GraphError: If a buffer aliases ``y``, ``weights`` aliases a
+            buffer or is not shaped ``(k,)``, or ``scratch`` is not
             shaped ``(2k,)``.
     """
     y = np.asarray(y, dtype=float)
@@ -107,6 +123,15 @@ def smax_and_gradient(
         raise GraphError(
             f"scratch must have shape {(2 * k,)}, got {scratch.shape}"
         )
+    if weights is not None:
+        if weights.shape != (k,):
+            raise GraphError(
+                f"weights must have shape {(k,)}, got {weights.shape}"
+            )
+        for name, buf in (("out", out), ("scratch", scratch)):
+            # The weights are read after the buffers are written.
+            if buf is not None and np.may_share_memory(buf, weights):
+                raise GraphError(f"weights must not alias the {name} buffer")
     m = float(np.abs(y).max())
     pair = scratch if scratch is not None else np.empty(2 * k)  # alloc-ok (unbuffered fallback)
     pos = pair[:k]
@@ -116,6 +141,9 @@ def smax_and_gradient(
     np.subtract(neg, m, out=neg)
     # One ufunc dispatch for both exponential families.
     np.exp(pair, out=pair)
+    if weights is not None:
+        np.multiply(pos, weights, out=pos)
+        np.multiply(neg, weights, out=neg)
     total = pos.sum() + neg.sum()
     value = m + float(np.log(total))
     grad = out if out is not None else np.empty_like(y)  # alloc-ok (unbuffered fallback)

@@ -59,13 +59,51 @@ allocation is ``bincount``'s diff-plane output (the price of the exact
 fold), which is what the AlmostRoute workspace
 (:class:`~repro.core.almost_route.RouteWorkspace`) relies on.
 
+Distinct-cut rows
+=================
+
+The ``T·(n−1)`` tree rows are not all different cuts: a sampled tree's
+leaf and near-leaf subtrees recur in every tree, so many rows measure
+the same vertex set — or its complement, which is the same cut of G
+(on ``serve_n1024``'s random n=1024 graph, 10,230 rows hold ~3,200
+distinct cuts). The operator evaluates each distinct cut **once**:
+
+* *Hash.* Every node gets two independent random ``uint64`` weights
+  (a fixed seed, so grouping is deterministic). A row's vertex set
+  hashes to the wrap-around sum of its nodes' weights — the same Euler
+  prefix-sum lookup ``R·b`` does, on an integer plane. A set ``S`` and
+  its complement hash to ``h`` and ``H − h`` (``H`` the sum over all
+  nodes); ``min(h, H − h)`` folds them into one key. Two 64-bit keys
+  make an accidental merge a ~2⁻¹²⁸ event per pair of rows.
+* *Representative.* Rows with equal keys form a group; its **first**
+  row (lowest tree-row index) represents it, so ``representatives``
+  is ascending and the surviving rows keep the per-tree block order.
+  ``multiplicity`` holds each group's size as a float.
+* *Products.* ``apply`` / ``estimate`` emit only the ``num_rows``
+  representative rows — each bit-identical to the same tree row of the
+  full stack, because the ``(T, n)`` gather/cumsum plane is unchanged —
+  and ``apply_transpose`` scatters only those rows. ``tree_rows``
+  (``Σ(n−1)``) keeps the pre-deduplication count.
+
+The solvers weight the Rb soft-max by ``multiplicity``
+(``log Σ_d mult_d·(e^{y_d} + e^{−y_d})``), which in exact arithmetic is
+the full-row potential: a complement row's value is ``−y_d`` for a
+zero-sum demand (``b(V∖S) = −b(S)``, same cut capacity) and the soft-max
+is even. The edge gradient is unchanged too: a complement row spreads
+``−g/cap`` over ``V∖S``, which is ``+g/cap`` over ``S`` minus the
+constant ``g/cap`` on every node, and a constant node potential cancels
+in ``π_head − π_tail``. So α, the soundness of ‖Rb‖∞ (every
+representative is still a genuine cut) and the (1+ε)·α guarantee hold
+as for the full stack; only the floating-point fold order differs.
+
 Sharded execution
 =================
 
 The ``(T, ·)`` planes are row-independent, so multi-worker ``R·b`` /
 ``Rᵀ·g`` is a data partition of tree rows, not a rewrite: a
 :class:`~repro.parallel.plan.ShardPlan` splits the trees into
-contiguous blocks balanced by row count, each worker runs the *same*
+contiguous blocks balanced by per-tree work (the ``n``-wide plane row
+plus the tree's representative rows), each worker runs the *same*
 gather / row-cumsum / scatter sequence on its block (every index array
 rebased once per shard count and cached), and the coordinating thread
 writes ``apply`` shard outputs into their row slices and folds
@@ -92,11 +130,16 @@ from repro.parallel.arena import tag_array_version
 from repro.parallel.config import ParallelConfig, resolve_config
 from repro.parallel.plan import ShardPlan
 from repro.parallel.pool import get_pool
+from repro.util.rng import as_generator
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.approximator import TreeOperator
 
 __all__ = ["StackedTreeOperator"]
+
+#: Seed of the node weights that hash subtree vertex sets (fixed, so a
+#: given tree stack always groups its rows the same way).
+CUT_HASH_SEED = 0x5EED_C075
 
 
 @dataclass
@@ -206,9 +249,17 @@ class StackedTreeOperator:
     """All per-tree row blocks of R fused into one flat operator.
 
     Built from the same :class:`TreeOperator` list the per-tree path
-    uses, and golden-tested bit-identical to it (``tests/
-    test_stacked_operator.py``): identical row order, identical
-    floating-point folds.
+    uses, and golden-tested bit-identical to it at the representative
+    rows (``tests/test_stacked_operator.py``): identical row order,
+    identical floating-point folds.
+
+    Attributes:
+        num_rows: Rows the products evaluate — one per distinct cut.
+        tree_rows: Tree rows before deduplication (``Σ(n−1)``).
+        representatives: ``(num_rows,)`` ascending tree-row index of
+            each distinct cut's first row.
+        multiplicity: ``(num_rows,)`` float count of the tree rows
+            each representative stands for; sums to ``tree_rows``.
     """
 
     def __init__(
@@ -251,28 +302,40 @@ class StackedTreeOperator:
             scatter_tout.append(diff_base + rows_tout)
             pot_rows.append(t * n + op.tin)
             inv_caps.append(op.row_inv_capacity)
-        self._tin_rows = _concat_int(tin_rows)
-        self._tout_rows = _concat_int(tout_rows)
+        all_tin = _concat_int(tin_rows)
+        all_tout = _concat_int(tout_rows)
+        self.tree_rows = len(all_tin)
+        self.representatives, self.multiplicity = _distinct_cuts(
+            self._order, all_tin, all_tout, T, n
+        )
+        self.representatives.setflags(write=False)
+        self.multiplicity.setflags(write=False)
+        reps = self.representatives
+        self._tin_rows = all_tin[reps]
+        self._tout_rows = all_tout[reps]
         self._pot_rows = _concat_int(pot_rows)
         self._row_inv_capacity = (
-            np.concatenate(inv_caps) if inv_caps else np.zeros(0)
+            np.concatenate(inv_caps)[reps] if inv_caps else np.zeros(0)
         )
         # Monotone data epoch of _row_inv_capacity: bumped by every
         # refresh_inv_capacity so cached shard views (aliases of the
         # base vector) are re-exported by the shared-memory arena.
         self._data_version = 0
-        self.num_rows = len(self._tin_rows)
+        self.num_rows = len(reps)
         R = self.num_rows
-        # Per-tree row boundaries: tree t owns rows
-        # _row_offsets[t] : _row_offsets[t + 1] — the shard planner
-        # balances tree blocks by these counts.
-        self._row_offsets = np.zeros(T + 1, dtype=WIDE_DTYPE)
-        np.cumsum(np.asarray(row_counts, dtype=WIDE_DTYPE), out=self._row_offsets[1:])
+        # Per-tree representative-row boundaries: tree t owns rows
+        # _row_offsets[t] : _row_offsets[t + 1] (representatives are
+        # ascending, so each tree's survivors stay one block).
+        tree_offsets = np.zeros(T + 1, dtype=WIDE_DTYPE)
+        np.cumsum(np.asarray(row_counts, dtype=WIDE_DTYPE), out=tree_offsets[1:])
+        self._row_offsets = np.searchsorted(reps, tree_offsets).astype(WIDE_DTYPE)
         self._shard_cache: dict[int, list[_StackedShard]] = {}
 
         # Transpose scatter targets: fixed per operator, one array
         # (tin adds before tout subtracts — the np.add.at fold order).
-        self._scatter_idx = _concat_int(scatter_tin + scatter_tout)
+        self._scatter_idx = np.concatenate(
+            (_concat_int(scatter_tin)[reps], _concat_int(scatter_tout)[reps])
+        )
         self._diff_size = T * (n + 1)
 
         # Preallocated scratch planes (reused across calls; every entry
@@ -291,25 +354,27 @@ class StackedTreeOperator:
         self, inv_caps: Sequence[np.ndarray]
     ) -> None:
         """Patch the inverse-capacity row vector in place (capacity-only
-        delta; row layout unchanged).
+        delta; tree structure, hence the cut grouping, unchanged).
 
-        Every cached shard's ``inv_capacity`` is a read-only *view*
-        aliasing the base vector, so the write propagates to every
-        shard without re-slicing; the views' shared-memory export tags
-        are advanced so the process pool's persistent arena re-exports
-        the new bytes on the next map instead of serving stale ones.
+        ``inv_caps`` holds every tree's full row block; the operator
+        keeps the representative rows. Every cached shard's
+        ``inv_capacity`` is a read-only *view* aliasing the base
+        vector, so the write propagates to every shard without
+        re-slicing; the views' shared-memory export tags are advanced
+        so the process pool's persistent arena re-exports the new bytes
+        on the next map instead of serving stale ones.
         """
         flat = (
             np.concatenate(list(inv_caps))
             if len(inv_caps)
             else np.zeros(0)
         )
-        if flat.shape != self._row_inv_capacity.shape:
+        if flat.shape != (self.tree_rows,):
             raise GraphError(
                 f"refresh_inv_capacity: got {flat.shape[0]} rows, "
-                f"operator has {self.num_rows}"
+                f"operator has {self.tree_rows} tree rows"
             )
-        self._row_inv_capacity[:] = flat
+        np.take(flat, self.representatives, out=self._row_inv_capacity)
         self._data_version += 1
         for shards in self._shard_cache.values():
             for shard in shards:
@@ -323,7 +388,8 @@ class StackedTreeOperator:
             return shards
         n = self.num_nodes
         R = self.num_rows
-        plan = ShardPlan.balanced(np.diff(self._row_offsets), num_shards)
+        # Per-tree work: one n-wide plane row plus its surviving rows.
+        plan = ShardPlan.balanced(n + np.diff(self._row_offsets), num_shards)
         shards = []
         for t0, t1 in plan.ranges():
             r0 = int(self._row_offsets[t0])
@@ -609,6 +675,48 @@ class StackedTreeOperator:
         for q, rows in enumerate(row_plane):
             self.apply_transpose(rows, out=out[q], parallel=parallel)
         return out
+
+def _distinct_cuts(
+    order: np.ndarray,
+    tin_rows: np.ndarray,
+    tout_rows: np.ndarray,
+    trees: int,
+    n: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Group tree rows by cut: ``(representatives, multiplicity)``.
+
+    ``tin_rows`` / ``tout_rows`` are the full stack's flattened prefix
+    indices (see the module docstring's "Distinct-cut rows"): a row's
+    vertex-set hash is ``Q[tout_row] − Q[tin_row]`` on the wrap-around
+    ``uint64`` prefix plane of the node weights, folded with its
+    complement's by ``min(h, H − h)``.
+    """
+    rows = len(tin_rows)
+    if rows == 0:
+        return np.zeros(0, dtype=WIDE_DTYPE), np.zeros(0)
+    weights = as_generator(CUT_HASH_SEED).integers(
+        0, 2**64, size=(2, n), dtype=np.uint64
+    )
+    keys = []
+    for node_weights in weights:
+        plane = node_weights[order].reshape(trees, n)
+        np.cumsum(plane, axis=1, out=plane)
+        prefix = plane.reshape(-1)
+        inside = prefix[tout_rows] - prefix[tin_rows]
+        # Every tree spans all n nodes, so tree 0's last prefix is H.
+        keys.append(np.minimum(inside, prefix[n - 1] - inside))
+    first, second = keys
+    perm = np.lexsort((second, first))
+    first, second = first[perm], second[perm]
+    head = np.ones(rows, dtype=bool)
+    head[1:] = (first[1:] != first[:-1]) | (second[1:] != second[:-1])
+    starts = np.flatnonzero(head)
+    sizes = np.diff(np.append(starts, rows))
+    # lexsort is stable, so each run starts at its group's lowest row.
+    leaders = perm[starts]
+    by_row = np.argsort(leaders)
+    return leaders[by_row].astype(WIDE_DTYPE), sizes[by_row].astype(float)
+
 
 def _concat_int(parts: list[np.ndarray]) -> np.ndarray:
     if not parts:

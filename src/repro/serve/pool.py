@@ -63,7 +63,7 @@ class WorkspacePool:
         with self._lock:
             self._graph = graph
             self._approximator = approximator
-            key = (graph.num_edges, graph.num_nodes, approximator.num_rows)
+            key = (graph.num_edges, graph.num_nodes, approximator.tree_rows)
             self._shape_key = key
             self._singles = [
                 ws for ws in self._singles if ws.shape_key == key

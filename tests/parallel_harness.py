@@ -249,16 +249,30 @@ class PerTreeReference:
 
     The reference the stacked operator is golden-tested against: each
     product is computed block by block, exactly as the per-tree
-    operators define it. It stands in for the approximator in the
-    solvers (same ``alpha`` and ``num_rows``), so whole solves can be
-    compared too.
+    operators define it. By default it keeps the stacked operator's
+    distinct-cut rows (``representatives``): ``apply`` selects them from
+    the full block concatenation and ``apply_transpose`` zero-fills the
+    other rows, so the stacked products must match it bit for bit. With
+    ``full_rows=True`` it evaluates every tree row with unit soft-max
+    weights — the undeduplicated R. It stands in for the approximator in
+    the solvers (same ``alpha``, ``num_rows``, ``tree_rows`` and
+    ``multiplicity``), so whole solves can be compared too.
     """
 
-    def __init__(self, approximator) -> None:
+    def __init__(self, approximator, full_rows: bool = False) -> None:
         self.graph = approximator.graph
         self.operators = approximator.operators
         self.alpha = approximator.alpha
-        self.num_rows = approximator.num_rows
+        self.tree_rows = approximator.tree_rows
+        if full_rows:
+            self.rows = None
+            self.num_rows = self.tree_rows
+            self.multiplicity = None
+        else:
+            stacked = approximator.stacked()
+            self.rows = stacked.representatives
+            self.num_rows = stacked.num_rows
+            self.multiplicity = stacked.multiplicity
 
     def with_parallel(self, parallel) -> "PerTreeReference":
         return self
@@ -267,6 +281,8 @@ class PerTreeReference:
         demand = np.asarray(demand, dtype=float)
         blocks = [op.apply(demand) for op in self.operators]
         result = np.concatenate(blocks) if blocks else np.zeros(0)
+        if self.rows is not None:
+            result = result[self.rows]
         if out is None:
             return result
         out[:] = result
@@ -274,6 +290,10 @@ class PerTreeReference:
 
     def apply_transpose(self, row_values, out=None) -> np.ndarray:
         row_values = np.asarray(row_values, dtype=float)
+        if self.rows is not None:
+            expanded = np.zeros(self.tree_rows)
+            expanded[self.rows] = row_values
+            row_values = expanded
         if out is None:
             out = np.zeros(self.graph.num_nodes)
         else:

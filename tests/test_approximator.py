@@ -70,9 +70,10 @@ class TestApproximator:
         b = st_demand(small_graph, 0, 5)
         y = small_approximator.apply(b)
         assert y.shape == (small_approximator.num_rows,)
-        assert small_approximator.num_rows == small_approximator.num_trees * (
+        assert small_approximator.tree_rows == small_approximator.num_trees * (
             small_graph.num_nodes - 1
         )
+        assert small_approximator.num_rows <= small_approximator.tree_rows
 
     def test_adjoint_identity_full(self, small_graph, small_approximator):
         rng = np.random.default_rng(3)

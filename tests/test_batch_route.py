@@ -222,7 +222,7 @@ class TestBatchWorkspace:
             )
         assert RouteWorkspace.ensure(ws, g, approx) is ws
         built = RouteWorkspace.ensure(None, g, approx)
-        assert built.shape_key == (g.num_edges, g.num_nodes, approx.num_rows)
+        assert built.shape_key == (g.num_edges, g.num_nodes, approx.tree_rows)
 
 
 # ----------------------------------------------------------------------

@@ -14,7 +14,8 @@ The contracts under test:
   the cold run bit for bit.
 * **scoped rebuild** — ``TreeCongestionApproximator.refresh_capacities``
   patches cut capacities in place to the exact recomputed values and
-  preserves row counts, so workspaces keep fitting.
+  preserves ``tree_rows``, so workspaces keep fitting even when a
+  resample changes ``num_rows`` (the distinct-cut count).
 * **workspace epoch-independence** — the pool shape key contains no
   epoch, and a workspace surviving ``set_capacity`` is reused, not
   rebuilt.
@@ -301,6 +302,31 @@ class TestScopedRebuild:
         )
         assert result.converged
 
+    def test_resampling_refresh_changes_distinct_rows_not_shapes(self, graph):
+        """A resample regroups the cuts (``num_rows`` moves) but keeps
+        ``tree_rows``, so the same workspace routes the new epoch and
+        matches a fresh workspace bit for bit."""
+        approximator = build_congestion_approximator(graph, rng=731)
+        workspace = RouteWorkspace(graph, approximator)
+        demand = st_demand(graph, 0, 47)
+        almost_route(graph, approximator, demand, EPS, workspace=workspace)
+        distinct, tree_rows = approximator.num_rows, approximator.tree_rows
+        eids = _degrade(graph, fraction=0.05, seed=732)
+        resampled = approximator.refresh_capacities(
+            eids, rng=np.random.default_rng(733)
+        )
+        assert resampled > 0
+        assert approximator.num_rows != distinct
+        assert approximator.tree_rows == tree_rows
+        assert RouteWorkspace.ensure(workspace, graph, approximator) is workspace
+        reused = almost_route(
+            graph, approximator, demand, EPS, workspace=workspace
+        )
+        fresh = almost_route(graph, approximator, demand, EPS)
+        assert reused.converged
+        assert reused.iterations == fresh.iterations
+        assert_arrays_identical("flow", fresh.flow, reused.flow)
+
 
 # ----------------------------------------------------------------------
 # Workspace epoch-independence (pool reuse across set_capacity)
@@ -315,7 +341,7 @@ class TestWorkspaceEpochIndependence:
         assert workspace.shape_key == (
             graph.num_edges,
             graph.num_nodes,
-            approximator.num_rows,
+            approximator.tree_rows,
         )
         # ensure() accepts the pre-mutation workspace unchanged.
         assert (
@@ -334,6 +360,24 @@ class TestWorkspaceEpochIndependence:
         server.route(demand)
         # Reused, not rebuilt: no second workspace was created.
         assert server.pool.created_singles == 1
+
+    def test_pool_survives_sync_that_changes_distinct_rows(self, graph):
+        """An incremental sync whose resample changes ``num_rows``
+        keeps the pooled workspace: no rebind, no new workspace."""
+        server = FlowServer(
+            graph, epsilon=EPS, rng=739, refresh="incremental"
+        )
+        demand = st_demand(graph, 0, 40)
+        server.route(demand)
+        assert server.pool.created_singles == 1
+        distinct = server.approximator.num_rows
+        _degrade(graph, fraction=0.05, seed=735)
+        result = server.route(demand)
+        assert server.stats().incremental_refreshes == 1
+        assert server.approximator.num_rows != distinct
+        assert result.converged
+        assert server.pool.created_singles == 1
+        assert server.pool.pooled_count() == 1
 
 
 # ----------------------------------------------------------------------

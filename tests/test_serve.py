@@ -345,7 +345,7 @@ class TestWorkspacePool:
         pooled_singles = server.pool.pooled_count()
         assert all(
             pooled.shape_key
-            == (graph.num_edges, graph.num_nodes, server.approximator.num_rows)
+            == (graph.num_edges, graph.num_nodes, server.approximator.tree_rows)
             for pooled in server.pool._singles
         )
         assert pooled_singles == len(server.pool._singles)

@@ -146,6 +146,54 @@ class TestFusedExp:
             smax_and_gradient(y, scratch=base)
 
 
+class TestWeights:
+    """``weights=`` is the soft-max of the row-duplicated vector: the
+    stacked operator's distinct-cut rows weighted by multiplicity."""
+
+    @pytest.mark.parametrize("k", [1, 17, 256])
+    def test_none_and_ones_bit_identical(self, k):
+        rng = np.random.default_rng(500 + k)
+        y = rng.normal(size=k) * 40.0
+        value, grad = smax_and_gradient(y)
+        for weights in (None, np.ones(k)):
+            out = np.empty(k)
+            pair = np.empty(2 * k)
+            value_w, grad_w = smax_and_gradient(
+                y, out=out, scratch=pair, weights=weights
+            )
+            assert value_w == value
+            assert np.array_equal(grad_w, grad)
+            assert np.array_equal(smax_and_gradient(y, weights=weights)[1], grad)
+
+    @pytest.mark.parametrize("scale", [1.0, 40.0])
+    def test_integer_weights_match_duplicated_rows(self, scale):
+        rng = np.random.default_rng(510)
+        y = rng.normal(size=64) * scale
+        counts = rng.integers(1, 6, size=64)
+        duplicated = np.repeat(y, counts)
+        value, grad = smax_and_gradient(y, weights=counts.astype(float))
+        value_dup, grad_dup = smax_and_gradient(duplicated)
+        assert value == pytest.approx(value_dup, rel=1e-12)
+        starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
+        summed = np.add.reduceat(grad_dup, starts)
+        np.testing.assert_allclose(grad, summed, rtol=1e-12)
+
+    @pytest.mark.parametrize("shape", [(7,), (9,), (2, 8), (16,)])
+    def test_rejects_wrong_weights_shape(self, shape):
+        y = np.linspace(-2.0, 2.0, 8)
+        with pytest.raises(GraphError, match="weights must have shape"):
+            smax_and_gradient(y, weights=np.ones(shape))
+
+    def test_rejects_weights_aliasing_a_buffer(self):
+        y = np.linspace(-2.0, 2.0, 8)
+        out = np.ones(8)
+        pair = np.ones(16)
+        with pytest.raises(GraphError, match="weights must not alias"):
+            smax_and_gradient(y, out=out, scratch=pair, weights=out)
+        with pytest.raises(GraphError, match="weights must not alias"):
+            smax_and_gradient(y, out=out, scratch=pair, weights=pair[8:])
+
+
 class TestBatchPlane:
     """The ``(Q, k)`` plane form equals the 1-D fused path row for
     row."""

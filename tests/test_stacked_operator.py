@@ -3,10 +3,17 @@
 The contract is *exact* float equality on the shared evaluation order:
 the flat fused pass of :class:`StackedTreeOperator` (the approximator's
 only product path) must reproduce the per-tree ``TreeOperator`` blocks
-bit for bit — same row order, same accumulation folds — for ``apply``,
-``apply_transpose`` and ``estimate``, and hence AlmostRoute must return
-identical results through the per-tree reference
+at its distinct-cut rows bit for bit — same row order, same
+accumulation folds — for ``apply``, ``apply_transpose`` and
+``estimate``, and hence AlmostRoute must return identical results
+through the per-tree reference
 (:class:`parallel_harness.PerTreeReference`).
+
+The deduplication itself is pinned twice: its groups must equal the
+ones built from explicit vertex sets (``TestDistinctCuts``), and the
+multiplicity-weighted Rb potential, its edge gradient and ‖Rb‖∞ must
+agree with the full, undeduplicated tree stack to rtol 1e-12 — only
+the floating-point fold order may differ.
 """
 
 from __future__ import annotations
@@ -25,12 +32,13 @@ from repro.core import (
     min_congestion_flow,
     smax_and_gradient,
 )
-from parallel_harness import PerTreeReference
+from parallel_harness import PerTreeReference, forced
 from repro.core.approximator import TreeOperator
 from repro.errors import GraphError
 from repro.graphs.generators import grid, random_connected
 from repro.graphs.graph import Graph
 from repro.graphs.trees import RootedTree
+from repro.scenarios.spec import resolve_topology
 from repro.util.validation import st_demand
 
 
@@ -108,18 +116,202 @@ class TestGoldenEquivalence:
             assert path.estimate(np.zeros(1)) == 0.0
 
     def test_multi_tree_stack_row_order(self, medium):
-        """The flat row order is the per-tree concatenation order."""
+        """The flat rows are the per-tree concatenation's rows at the
+        representative indices, in that order, bit for bit."""
         g, approx = medium
         b = st_demand(g, 0, g.num_nodes - 1)
         blocks = [op.apply(b) for op in approx.operators]
-        flat = approx.stacked().apply(b)
-        assert np.array_equal(np.concatenate(blocks), flat)
+        stacked = approx.stacked()
+        flat = stacked.apply(b)
+        assert np.all(np.diff(stacked.representatives) > 0)
+        assert np.array_equal(
+            np.concatenate(blocks)[stacked.representatives], flat
+        )
 
     def test_mismatched_tree_rejected(self, medium):
         g, approx = medium
         alien = TreeOperator(RootedTree([-1, 0], capacity=[0.0, 1.0]))
         with pytest.raises(GraphError):
             StackedTreeOperator(approx.operators + [alien], g.num_nodes)
+
+
+#: Small graphs for the explicit vertex-set checks (n <= 81).
+CUT_GRAPHS = {
+    "random": lambda: random_connected(48, 0.1, rng=320),
+    "torus_9x9": lambda: resolve_topology("torus_9x9").build(77).graph,
+    "planted_60": lambda: resolve_topology("planted_60").build(77).graph,
+}
+
+
+@pytest.fixture(scope="module", params=sorted(CUT_GRAPHS))
+def cut_instance(request):
+    g = CUT_GRAPHS[request.param]()
+    return g, build_congestion_approximator(g, rng=321, alpha=2.0)
+
+
+def _explicit_cuts(approx):
+    """Per tree row, built from explicit vertex sets: the cut's key
+    (the side without node 0) and the row's orientation (+1 when the
+    row's subtree is that side, -1 when it is the complement)."""
+    everything = frozenset(range(approx.graph.num_nodes))
+    keys, signs = [], []
+    for op in approx.operators:
+        for v in op.row_nodes.tolist():
+            inside = frozenset(op.order[op.tin[v] : op.tout[v]].tolist())
+            if 0 in inside:
+                keys.append(everything - inside)
+                signs.append(-1.0)
+            else:
+                keys.append(inside)
+                signs.append(1.0)
+    return keys, np.array(signs)
+
+
+def _explicit_groups(keys):
+    """``(representatives, multiplicity, group of each row)``: groups of
+    equal keys, each represented by its first row, in row order."""
+    first: dict[frozenset, int] = {}
+    for row, key in enumerate(keys):
+        first.setdefault(key, row)
+    reps = sorted(first.values())
+    index = {keys[row]: d for d, row in enumerate(reps)}
+    group = np.array([index[key] for key in keys], dtype=int)
+    return np.array(reps, dtype=int), np.bincount(group), group
+
+
+class TestDistinctCuts:
+    """One row per distinct cut: the hash groups exactly the rows whose
+    vertex sets agree up to complement, and the weighted products equal
+    the full tree stack up to fold order."""
+
+    def test_groups_match_explicit_vertex_sets(self, cut_instance):
+        _, approx = cut_instance
+        stacked = approx.stacked()
+        keys, _ = _explicit_cuts(approx)
+        reps, counts, group = _explicit_groups(keys)
+        # Exact match: a false merge would drop a representative, a
+        # missed merge would add one.
+        assert np.array_equal(stacked.representatives, reps)
+        assert np.array_equal(stacked.multiplicity, counts.astype(float))
+        assert stacked.num_rows == approx.num_rows == len(reps)
+        assert stacked.multiplicity.sum() == stacked.tree_rows
+        assert stacked.tree_rows == approx.tree_rows == len(keys)
+        assert approx.num_rows < approx.tree_rows
+        capacity = np.concatenate([op.row_capacity for op in approx.operators])
+        np.testing.assert_allclose(capacity, capacity[reps][group], rtol=1e-12)
+
+    def test_no_trees(self):
+        g = random_connected(12, 0.4, rng=322)
+        approx = TreeCongestionApproximator(graph=g, operators=[], alpha=1.0)
+        stacked = approx.stacked()
+        assert stacked.num_rows == stacked.tree_rows == 0
+        assert stacked.representatives.shape == (0,)
+        assert stacked.multiplicity.shape == (0,)
+        assert approx.apply(st_demand(g, 0, 5)).shape == (0,)
+        assert not approx.apply_transpose(np.zeros(0)).any()
+        assert approx.estimate(st_demand(g, 0, 5)) == 0.0
+
+    def test_single_tree_keeps_every_row(self, medium):
+        g, approx = medium
+        single = TreeCongestionApproximator(
+            graph=g, operators=approx.operators[:1], alpha=approx.alpha
+        )
+        stacked = single.stacked()
+        assert stacked.num_rows == stacked.tree_rows == g.num_nodes - 1
+        assert np.array_equal(
+            stacked.representatives, np.arange(g.num_nodes - 1)
+        )
+        assert np.array_equal(stacked.multiplicity, np.ones(g.num_nodes - 1))
+
+    def test_repeated_trees_fold_into_multiplicity(self, medium):
+        g, approx = medium
+        doubled = TreeCongestionApproximator(
+            graph=g, operators=approx.operators * 2, alpha=approx.alpha
+        )
+        once, twice = approx.stacked(), doubled.stacked()
+        assert np.array_equal(once.representatives, twice.representatives)
+        assert np.array_equal(2.0 * once.multiplicity, twice.multiplicity)
+
+    @pytest.mark.parametrize("backend", ["serial", "thread"])
+    def test_sharded_products_bit_identical(self, cut_instance, backend):
+        g, approx = cut_instance
+        stacked = approx.stacked()
+        rng = np.random.default_rng(323)
+        b = rng.normal(size=g.num_nodes)
+        b -= b.mean()
+        rows = rng.normal(size=stacked.num_rows)
+        serial_apply = stacked.apply(b).copy()
+        serial_transpose = stacked.apply_transpose(rows).copy()
+        for shards in (1, 2, 3):
+            config = forced(shards, backend)
+            assert np.array_equal(serial_apply, stacked.apply(b, parallel=config))
+            assert np.array_equal(
+                serial_transpose,
+                stacked.apply_transpose(rows, parallel=config),
+            )
+        for plan in stacked._shard_cache.values():
+            assert plan[0].r0 == 0 and plan[-1].r1 == stacked.num_rows
+            for left, right in zip(plan, plan[1:]):
+                assert left.r1 == right.r0
+
+    def test_apply_is_full_stack_at_representatives(self, cut_instance):
+        g, approx = cut_instance
+        full = PerTreeReference(approx, full_rows=True)
+        rng = np.random.default_rng(324)
+        for _ in range(3):
+            b = rng.normal(size=g.num_nodes)
+            b -= b.mean()
+            assert np.array_equal(
+                approx.apply(b), full.apply(b)[approx.stacked().representatives]
+            )
+
+    def test_weighted_potential_gradient_and_estimate(self, cut_instance):
+        """Centred demands: the multiplicity-weighted R-half potential,
+        its edge gradient and ‖Rb‖∞ equal the full stack's."""
+        g, approx = cut_instance
+        full = PerTreeReference(approx, full_rows=True)
+        tails, heads = g.edge_index_arrays()
+        rng = np.random.default_rng(325)
+        for scale in (1.0, 50.0):
+            b = rng.normal(size=g.num_nodes)
+            b -= b.mean()
+            value_full, grad_full = smax_and_gradient(scale * full.apply(b))
+            value, grad = smax_and_gradient(
+                scale * approx.apply(b), weights=approx.multiplicity
+            )
+            assert value == pytest.approx(value_full, rel=1e-12)
+            pi_full = full.apply_transpose(grad_full)
+            pi = approx.apply_transpose(grad)
+            edge_full = pi_full[heads] - pi_full[tails]
+            edge = pi[heads] - pi[tails]
+            np.testing.assert_allclose(
+                edge, edge_full, rtol=1e-12, atol=1e-12 * np.abs(edge_full).max()
+            )
+            assert approx.estimate(b) == pytest.approx(
+                full.estimate(b), rel=1e-12
+            )
+
+    def test_transpose_of_random_rows_matches_full_stack(self, cut_instance):
+        """A random value per distinct cut, copied to every tree row of
+        the cut with its orientation sign, gives the same edge gradient
+        through the full stack as ``multiplicity × value`` through the
+        distinct rows (the complement's constant shift cancels)."""
+        g, approx = cut_instance
+        full = PerTreeReference(approx, full_rows=True)
+        keys, signs = _explicit_cuts(approx)
+        reps, _, group = _explicit_groups(keys)
+        orientation = signs * signs[reps][group]
+        tails, heads = g.edge_index_arrays()
+        rng = np.random.default_rng(326)
+        for _ in range(3):
+            z = rng.normal(size=approx.num_rows)
+            pi_full = full.apply_transpose(orientation * z[group])
+            pi = approx.apply_transpose(approx.multiplicity * z)
+            edge_full = pi_full[heads] - pi_full[tails]
+            edge = pi[heads] - pi[tails]
+            np.testing.assert_allclose(
+                edge, edge_full, rtol=1e-12, atol=1e-12 * np.abs(edge_full).max()
+            )
 
 
 class TestOutBuffers:
@@ -247,7 +439,7 @@ class TestEndToEndIdentity:
             RouteWorkspace.ensure(stale, g, approx)
         # The message names both the expected and the actual sizes.
         assert str(stale.shape_key) in str(exc.value)
-        key = (g.num_edges, g.num_nodes, approx.num_rows)
+        key = (g.num_edges, g.num_nodes, approx.tree_rows)
         assert str(key) in str(exc.value)
         with pytest.raises(GraphError):
             almost_route(g, approx, st_demand(g, 0, 5), 0.4, workspace=stale)

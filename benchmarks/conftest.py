@@ -115,7 +115,7 @@ APPLY_BENCH_CONFIG = {
 #: execution rows: flat-serial vs sharded medians of R·b / Rᵀ·g,
 #: frontier BFS, multi-source hop distances and the stacked MWU length
 #: evaluation at the scale where sharding is on by default
-#: (n + 2m >> SMALL_GRAPH_LIMIT).
+#: (n + 2m >> DEFAULT_MIN_SIZE, the 8192-entry sharding threshold).
 SHARDED_BENCH_CONFIG = {4096: (0.003, 940, 941, 77, 60, 20, 5, 40)}
 #: Source count for the hop_distances_sharded_n* rows and sample-row
 #: count for the mwu_lengths_sharded_n* rows (the O(log n) stack the

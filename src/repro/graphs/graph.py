@@ -39,7 +39,6 @@ per edge.
 from __future__ import annotations
 
 import weakref
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -62,16 +61,20 @@ __all__ = ["Edge", "Graph"]
 
 _INITIAL_BUFFER = 16
 
-#: Below this many incidence entries (n + 2m) the cached-adjacency
-#: Python traversals beat the whole-array kernels (NumPy's fixed
-#: per-call cost exceeds the loop cost on tiny frontiers); above it the
-#: frontier-at-a-time kernels win. Both paths are output-identical.
-SMALL_GRAPH_LIMIT = 8192
-
-#: Below this many incidence entries even element-wise array work
-#: (contraction, batched LCA) loses to plain loops — the j-tree
-#: recursion spends most of its calls on such tiny quotient graphs.
-TINY_GRAPH_LIMIT = 512
+#: The one size switch of the substrate, read by exactly two call
+#: sites (:meth:`Graph.is_tiny`): below this many incidence entries
+#: (n + 2m) SplitGraph grows its balls with a Python heap and
+#: ``spanning_tree_from_edges`` (applied to the tree's n + 2(n-1)) runs
+#: a Python BFS; at or above it both run the frontier kernels. Every
+#: other traversal, contraction and LCA pass is array-only. Replaying
+#: the calls of one approximator build with each engine forced
+#: (heap/frontier time ratio): SplitGraph 0.16-0.74 on the maxflow
+#: benchmark graphs (n + 2m <= 1434), 0.18-0.37 on torus/grid graphs
+#: up to 4380, but 1.3 at 1024-1536, 1.9-2.6 at 1536-3072 and 3.7 at
+#: 8184 (the n=512 dynamic graph) on random graphs; the spanning-tree
+#: BFS 0.4-0.8 up to 2098, 1.0 at 3070, 1.1 at 6142. 2048 keeps every
+#: maxflow graph on the heap and moves the n=512 graph to the frontier.
+TINY_GRAPH_LIMIT = 2048
 
 
 @dataclass(frozen=True)
@@ -535,15 +538,9 @@ class Graph:
     # ------------------------------------------------------------------
     # Connectivity
     # ------------------------------------------------------------------
-    def is_small(self) -> bool:
-        """Whether the adaptive traversals should take the Python path
-        (part of the substrate contract: lsst/trees dispatch on this)."""
-        return self._n + 2 * self._m < SMALL_GRAPH_LIMIT
-
     def is_tiny(self) -> bool:
-        """Whether even element-wise array work should take Python paths
-        (part of the substrate contract: contraction and batched-LCA
-        call sites dispatch on this)."""
+        """Whether ``n + 2m`` is below :data:`TINY_GRAPH_LIMIT`, where
+        SplitGraph grows its balls with the Python heap engine."""
         return self._n + 2 * self._m < TINY_GRAPH_LIMIT
 
     def adjacency_lists(self) -> list[list[tuple[int, int]]]:
@@ -553,58 +550,22 @@ class Graph:
         if self._adj_cache is None:
             csr = self.csr()
             ptr = csr.indptr.tolist()
-            nbr = csr.neighbor.tolist()
-            eid = csr.edge_id.tolist()
+            pairs = list(zip(csr.neighbor.tolist(), csr.edge_id.tolist()))
             self._adj_cache = [
-                list(zip(nbr[ptr[i] : ptr[i + 1]], eid[ptr[i] : ptr[i + 1]]))
-                for i in range(self._n)
+                pairs[ptr[i] : ptr[i + 1]] for i in range(self._n)
             ]
         return self._adj_cache
 
     def connected_components(self) -> list[list[int]]:
         """Return connected components as lists of nodes."""
-        if not self.is_small():
-            return kernels.connected_components(self.csr())
-        adj = self.adjacency_lists()
-        seen = [False] * self._n
-        components: list[list[int]] = []
-        for start in range(self._n):
-            if seen[start]:
-                continue
-            component = [start]
-            seen[start] = True
-            queue = deque([start])
-            while queue:
-                node = queue.popleft()
-                for neighbor, _ in adj[node]:
-                    if not seen[neighbor]:
-                        seen[neighbor] = True
-                        component.append(neighbor)
-                        queue.append(neighbor)
-            components.append(component)
-        return components
+        return kernels.connected_components(self.csr())
 
     def is_connected(self) -> bool:
         """Return True iff the graph is connected (single BFS; memoized
         until the next structural mutation)."""
         if self._connected_cache is not None:
             return self._connected_cache
-        if not self.is_small():
-            connected = bool(kernels.bfs_levels(self.csr(), 0).min() >= 0)
-        else:
-            adj = self.adjacency_lists()
-            seen = [False] * self._n
-            seen[0] = True
-            count = 1
-            queue = deque([0])
-            while queue:
-                node = queue.popleft()
-                for neighbor, _ in adj[node]:
-                    if not seen[neighbor]:
-                        seen[neighbor] = True
-                        count += 1
-                        queue.append(neighbor)
-            connected = count == self._n
+        connected = bool(kernels.bfs_levels(self.csr(), 0).min() >= 0)
         self._connected_cache = connected
         return connected
 
@@ -618,46 +579,28 @@ class Graph:
 
     def bfs_distances(self, source: int) -> list[int]:
         """Return hop distances from ``source`` (-1 for unreachable)."""
-        if not self.is_small():
-            return kernels.bfs_levels(self.csr(), source).tolist()
-        adj = self.adjacency_lists()
-        dist = [-1] * self._n
-        dist[source] = 0
-        queue = deque([source])
-        while queue:
-            node = queue.popleft()
-            for neighbor, _ in adj[node]:
-                if dist[neighbor] < 0:
-                    dist[neighbor] = dist[node] + 1
-                    queue.append(neighbor)
-        return dist
+        return kernels.bfs_levels(self.csr(), source).tolist()
 
     def diameter(self) -> int:
         """Return the exact hop diameter.
 
-        Quadratic work (all-pairs lockstep BFS on large graphs, one
-        BFS per source on small ones); intended for the test/benchmark
-        graph sizes used in this library.
+        Quadratic work (all-pairs lockstep BFS); intended for the
+        test/benchmark graph sizes used in this library.
         """
         self.require_connected()
-        if not self.is_small():
-            # Lockstep BFS over source batches: O(batch · n) working
-            # memory, never the full n×n distance matrix.
-            csr = self.csr()
-            batch = max(1, (1 << 24) // self._n)
-            best = 0
-            for start in range(0, self._n, batch):
-                sources = np.arange(
-                    start, min(start + batch, self._n), dtype=WIDE_DTYPE
-                )
-                best = max(
-                    best,
-                    int(kernels.multi_source_hop_distances(csr, sources).max()),
-                )
-            return best
+        # Lockstep BFS over source batches: O(batch · n) working
+        # memory, never the full n×n distance matrix.
+        csr = self.csr()
+        batch = max(1, (1 << 24) // self._n)
         best = 0
-        for source in range(self._n):
-            best = max(best, max(self.bfs_distances(source)))
+        for start in range(0, self._n, batch):
+            sources = np.arange(
+                start, min(start + batch, self._n), dtype=WIDE_DTYPE
+            )
+            best = max(
+                best,
+                int(kernels.multi_source_hop_distances(csr, sources).max()),
+            )
         return best
 
     def eccentricity(self, source: int) -> int:
@@ -689,17 +632,15 @@ class Graph:
             merged case, a representative original id).
 
         The quotient comes with its derived caches pre-seeded: the
-        scaled path emits the child CSR directly from the contraction
-        pass (:func:`~repro.graphs.kernels.contract_csr`), the tiny
-        path seeds the adjacency lists, and both inherit a known
-        ``True`` connectivity verdict (contracting a connected graph
-        cannot disconnect it). Every seeded cache is dropped by the
-        next structural mutation, exactly like a lazily built one.
+        child CSR is emitted directly from the contraction pass
+        (:func:`~repro.graphs.kernels.contract_csr`), and a known
+        ``True`` connectivity verdict is inherited (contracting a
+        connected graph cannot disconnect it). Every seeded cache is
+        dropped by the next structural mutation, exactly like a lazily
+        built one.
         """
         if len(labels) != self._n:
             raise GraphError("labels must have one entry per node")
-        if self.is_tiny():
-            return self._contract_tiny(labels, keep_parallel)
         node_map, k = kernels.compact_labels(labels)
         new_u, new_v, new_cap, origin = kernels.contract_edges(
             node_map,
@@ -721,90 +662,10 @@ class Graph:
         if self._connected_cache is True:
             quotient._connected_cache = True
 
-    def _contract_tiny(
-        self, labels: Sequence[int], keep_parallel: bool
-    ) -> tuple["Graph", list[int]]:
-        """Loop-based contraction (output-identical to the kernels)."""
-        node_map = self._compact_tiny(labels)
-        k = max(node_map) + 1
-        m = self._m
-        tails = self._eu[:m].tolist()
-        heads = self._ev[:m].tolist()
-        new_u: list[int] = []
-        new_v: list[int] = []
-        edge_origin: list[int] = []
-        push_u, push_v, push_e = new_u.append, new_v.append, edge_origin.append
-        if keep_parallel:
-            # Build the quotient's adjacency lists in the same pass —
-            # they match what its CSR would serve (edge-id order), so
-            # the quotient never pays a CSR build for its traversals.
-            adj: list[list[tuple[int, int]]] = [[] for _ in range(k)]
-            j = 0
-            for eid, (u, v) in enumerate(zip(tails, heads)):
-                cu = node_map[u]
-                cv = node_map[v]
-                if cu != cv:
-                    push_u(cu)
-                    push_v(cv)
-                    push_e(eid)
-                    adj[cu].append((cv, j))
-                    adj[cv].append((cu, j))
-                    j += 1
-            new_cap = self._cap[:m][np.asarray(edge_origin, dtype=WIDE_DTYPE)]
-            quotient = Graph._from_trusted_arrays(
-                k,
-                np.asarray(new_u, dtype=INDEX_DTYPE),
-                np.asarray(new_v, dtype=INDEX_DTYPE),
-                new_cap,
-            )
-            quotient._adj_cache = adj
-            self._seed_quotient_connectivity(quotient)
-            return quotient, edge_origin
-        else:
-            caps = self._cap[:m].tolist()
-            cap_list: list[float] = []
-            merged: dict[tuple[int, int], int] = {}
-            for eid, (u, v) in enumerate(zip(tails, heads)):
-                cu = node_map[u]
-                cv = node_map[v]
-                if cu == cv:
-                    continue
-                key = (cu, cv) if cu < cv else (cv, cu)
-                j = merged.get(key)
-                if j is None:
-                    merged[key] = len(cap_list)
-                    push_u(key[0])
-                    push_v(key[1])
-                    cap_list.append(caps[eid])
-                    push_e(eid)
-                else:
-                    cap_list[j] += caps[eid]
-            new_cap = np.asarray(cap_list, dtype=float)
-        quotient = Graph._from_trusted_arrays(
-            k,
-            np.asarray(new_u, dtype=INDEX_DTYPE),
-            np.asarray(new_v, dtype=INDEX_DTYPE),
-            new_cap,
-        )
-        self._seed_quotient_connectivity(quotient)
-        return quotient, edge_origin
-
-    def _compact_tiny(self, labels: Sequence[int]) -> list[int]:
-        compact: dict[int, int] = {}
-        node_map = []
-        for label in labels:
-            label = int(label)
-            if label not in compact:
-                compact[label] = len(compact)
-            node_map.append(compact[label])
-        return node_map
-
     def node_map_after_contract(self, labels: Sequence[int]) -> list[int]:
         """Return the compacted node map used by :meth:`contract`."""
         if len(labels) != self._n:
             raise GraphError("labels must have one entry per node")
-        if self.is_tiny():
-            return self._compact_tiny(labels)
         node_map, _ = kernels.compact_labels(labels)
         return node_map.tolist()
 

@@ -31,7 +31,7 @@ import numpy as np
 from repro.errors import TreeError
 from repro.graphs import kernels
 from repro.graphs.csr import WIDE_DTYPE, build_csr
-from repro.graphs.graph import SMALL_GRAPH_LIMIT, Graph
+from repro.graphs.graph import TINY_GRAPH_LIMIT, Graph
 
 __all__ = [
     "RootedTree",
@@ -378,18 +378,7 @@ class RootedTree:
 def bfs_tree(graph: Graph, root: int = 0) -> RootedTree:
     """Breadth-first spanning tree of a connected graph."""
     graph.require_connected()
-    if not graph.is_small():
-        _, parent, _ = kernels.bfs_parents(graph.csr(), root)
-        return RootedTree(parent)
-    parent = [-2] * graph.num_nodes
-    parent[root] = -1
-    queue = deque([root])
-    while queue:
-        node = queue.popleft()
-        for neighbor, _ in graph.neighbors(node):
-            if parent[neighbor] == -2:
-                parent[neighbor] = node
-                queue.append(neighbor)
+    _, parent, _ = kernels.bfs_parents(graph.csr(), root)
     return RootedTree(parent)
 
 
@@ -398,6 +387,12 @@ def spanning_tree_from_edges(
 ) -> RootedTree:
     """Build a :class:`RootedTree` from a set of graph edge ids that form
     a spanning tree of ``graph``.
+
+    The tree's own incidence count ``n + 2(n-1)`` picks the engine: a
+    Python BFS over lists below ``TINY_GRAPH_LIMIT`` (one level of a
+    tree holds few nodes, so the frontier kernel's per-level NumPy
+    calls dominate there), the frontier kernel at or above it. A rooted
+    spanning tree has exactly one parent array, so both return it.
 
     Raises:
         TreeError: If the edge set is not a spanning tree.
@@ -410,7 +405,7 @@ def spanning_tree_from_edges(
     if len(ids) != n - 1:
         raise TreeError(f"spanning tree needs {n - 1} edges, got {len(ids)}")
     tails, heads = graph.edge_index_arrays()
-    if n + 2 * len(ids) >= SMALL_GRAPH_LIMIT:
+    if n + 2 * len(ids) >= TINY_GRAPH_LIMIT:
         csr = build_csr(n, tails[ids], heads[ids])
         dist, parent, _ = kernels.bfs_parents(csr, root)
         if np.any(dist < 0):
@@ -463,12 +458,7 @@ def induced_cut_capacities(graph: Graph, tree: RootedTree) -> np.ndarray:
     # (incident - 2*cap_at_lca).
     at_lca = np.zeros(n)
     if graph.num_edges:
-        if graph.is_tiny():
-            lca = tree.lca
-            for u, v, c in zip(tails.tolist(), heads.tolist(), caps.tolist()):
-                at_lca[lca(u, v)] += 2.0 * c
-        else:
-            np.add.at(at_lca, tree.lca_batch(tails, heads), 2.0 * caps)
+        np.add.at(at_lca, tree.lca_batch(tails, heads), 2.0 * caps)
     cut = tree.subtree_sums(incident - at_lca)
     cut[tree.root] = 0.0
     # Clamp tiny negatives from float accumulation.
@@ -515,12 +505,6 @@ def average_stretch(graph: Graph, tree: RootedTree) -> float:
     if graph.num_edges == 0:
         return 0.0
     tails, heads = graph.edge_index_arrays()
-    if graph.is_tiny():
-        total = sum(
-            tree.path_length(u, v)
-            for u, v in zip(tails.tolist(), heads.tolist())
-        )
-        return total / graph.num_edges
     return float(tree.path_lengths_batch(tails, heads).mean())
 
 
@@ -536,11 +520,5 @@ def weighted_average_stretch(
     if graph.num_edges == 0:
         return 0.0
     tails, heads = graph.edge_index_arrays()
-    if graph.is_tiny():
-        lengths = np.asarray(edge_length, dtype=float).tolist()
-        total = 0.0
-        for eid, (u, v) in enumerate(zip(tails.tolist(), heads.tolist())):
-            total += tree.path_length(u, v, tree_edge_length) / lengths[eid]
-        return total / graph.num_edges
     d_t = tree.path_lengths_batch(tails, heads, tree_edge_length)
     return float((d_t / np.asarray(edge_length, dtype=float)).mean())

@@ -90,8 +90,6 @@ def partition(
     threshold_fraction = min(
         1.0, OVER_SPLIT_CONSTANT * log_n / max(1, target_radius)
     )
-    tiny = graph.is_tiny()
-    classes_list = classes.tolist() if tiny else None
 
     best: tuple[float, SplitGraphResult, list[float]] | None = None
     phases = 0
@@ -100,18 +98,11 @@ def partition(
             graph, target_radius, rng=rng, active_edges=active_edges
         )
         phases += split.phases
-        if tiny:
-            cut_per_class = [0] * (active_classes + 1)
-            for eid in split.cut_edges:
-                cls = classes_list[eid]
-                if 1 <= cls <= active_classes:
-                    cut_per_class[cls] += 1
-        else:
-            cut = np.asarray(split.cut_edges, dtype=np.int64)
-            cut = cut[active_mask[cut]] if len(cut) else cut
-            cut_per_class = np.bincount(
-                classes[cut], minlength=active_classes + 1
-            ).tolist()
+        cut = np.asarray(split.cut_edges, dtype=np.int64)
+        cut = cut[active_mask[cut]] if len(cut) else cut
+        cut_per_class = np.bincount(
+            classes[cut], minlength=active_classes + 1
+        ).tolist()
         fractions = [
             c / s if s else 0.0 for c, s in zip(cut_per_class, class_sizes)
         ]

@@ -12,15 +12,21 @@ in O(ρ log N) simulated rounds; the distributed round cost is charged
 via :meth:`repro.congest.cost.CostModel.lsst` using the *measured*
 phase count this implementation reports.
 
-Execution is adaptive over the shared array substrate: small instances
-run a sequential-heap ball growing over the graph's cached adjacency
-(NumPy's fixed per-call cost would dominate their tiny frontiers);
-large instances run frontier-at-a-time over the CSR adjacency — one
-lexsort pass claims every node reached in a time step (the natural
-vectorization of "all balls grow one hop per round"). Both paths
-resolve ties identically — winner = lexicographically smallest
+Two engines grow the balls, chosen by :meth:`Graph.is_tiny`
+(``n + 2m`` below :data:`~repro.graphs.graph.TINY_GRAPH_LIMIT`). The
+frontier engine runs over the CSR adjacency: one lexsort pass claims
+every node reached in a time step (the natural vectorization of "all
+balls grow one hop per round"). It pays a fixed round of NumPy calls
+per BFS step, so it loses where a step claims few nodes: on small
+graphs, and on high-diameter torus and grid graphs, whose balls take
+many steps. There a sequential heap over the graph's cached adjacency
+lists wins. Over the calls of one approximator build the heap takes
+0.30× the frontier engine's time on the four ``maxflow_small``
+benchmark graphs (n + 2m ≤ 1434) but 3.7× on the ``dynamic_n512``
+graph (n + 2m = 8184). Both engines resolve ties
+identically — winner = lexicographically smallest
 ``(arrival, source, parent, parent-edge)`` — and are pinned equal by
-the golden tests.
+``tests/test_csr.py``.
 """
 
 from __future__ import annotations
@@ -235,7 +241,7 @@ def split_graph(
     max_delay = rho // (2 * log_n)
 
     tails, heads = graph.edge_index_arrays()
-    if graph.is_small():
+    if graph.is_tiny():
         cluster, parent, parent_edge, depth, phases = _split_small(
             graph, rng, rho, log_n, max_delay, allowed
         )

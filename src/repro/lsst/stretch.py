@@ -67,11 +67,8 @@ def stretch_per_edge(
         lengths = np.ones(graph.num_edges)
     lengths = np.asarray(lengths, dtype=float)
     tree_lengths = tree_edge_lengths(graph, tree, lengths)
-    out = np.zeros(graph.num_edges)
-    for e in graph.edges():
-        d_t = tree.path_length(e.u, e.v, tree_lengths)
-        out[e.id] = d_t / float(lengths[e.id])
-    return out
+    tails, heads = graph.edge_index_arrays()
+    return tree.path_lengths_batch(tails, heads, tree_lengths) / lengths
 
 
 def summarize_stretch(

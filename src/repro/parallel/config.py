@@ -3,10 +3,9 @@
 A :class:`ParallelConfig` names *how* sharded work runs: how many
 shards (``workers``), on which pool (``backend`` — ``"serial"``,
 ``"thread"`` or ``"process"``), and above which instance size sharding
-is worth dispatching at all (``min_size``, defaulting to the
-substrate's :data:`~repro.graphs.graph.SMALL_GRAPH_LIMIT` adaptive
-threshold: below it the whole-array serial kernels already win, above
-it the shard split amortizes).
+is worth dispatching at all (``min_size``, defaulting to
+:data:`DEFAULT_MIN_SIZE`: below it the whole-array serial kernels
+already win, above it the shard split amortizes).
 
 Selection is layered the same way the substrate's adaptive dispatch is:
 
@@ -49,8 +48,11 @@ __all__ = [
 #: The recognized pool backends, in cost order.
 BACKENDS = ("serial", "thread", "process")
 
-#: Mirrors :data:`repro.graphs.graph.SMALL_GRAPH_LIMIT` (duplicated here
-#: to keep this module import-light; asserted equal in the tests).
+#: Work size (n + 2m for graph kernels) below which sharded entry
+#: points stay serial. It is the sharding threshold only; it stays at or
+#: above :data:`repro.graphs.graph.TINY_GRAPH_LIMIT` (asserted in the
+#: tests), so a graph small enough to take a Python engine is never
+#: sharded by default.
 DEFAULT_MIN_SIZE = 8192
 
 

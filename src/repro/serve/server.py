@@ -29,12 +29,11 @@ cache-invalidation counter (``Graph._version``) against the epoch the
 cache and approximator were built in. A moved version drops the cached
 results exactly once and — under the default ``refresh="rebuild"``
 policy — rebuilds the approximator from the stored seed and rebinds
-the workspace pool. ``refresh="reuse"`` keeps the (now stale) tree
-approximator as a documented approximation: routing still uses the
-live capacities through ``graph.capacities()``, but the cut structure
-R reflects the pre-mutation graph, so quality degrades gracefully
-instead of paying a rebuild. Structural mutations (``add_edge``)
-always flush the pool, since every workspace is m-shaped.
+the workspace pool. ``refresh="incremental"`` patches the
+approximator's cut rows from the graph's capacity journal instead and
+falls back to the rebuild after a structural mutation (``add_edge``)
+or a journal overflow. No policy serves from stale cut capacities:
+the ‖Rb‖∞ lower bound stays sound after every mutation.
 """
 
 from __future__ import annotations
@@ -172,13 +171,10 @@ class FlowServer:
             disables caching).
         parallel: Optional sharded-execution config for the operator
             products (results are bit-identical either way).
-        rng: Seed used to build — and, under ``refresh="rebuild"`` /
-            ``refresh="incremental"``, re-build or re-sample — the
-            approximator.
+        rng: Seed used to build — and, after a mutation, re-build or
+            re-sample — the approximator.
         refresh: Mutation policy: ``"rebuild"`` (default) reconstructs
             the approximator from ``rng`` when the graph version moves;
-            ``"reuse"`` keeps the stale tree structure (documented
-            approximation — live capacities, pre-mutation cuts);
             ``"incremental"`` consumes the graph's epoch delta journal:
             for capacity-only deltas the approximator's cut rows are
             refreshed in place (journal-intersecting trees resampled),
@@ -210,7 +206,7 @@ class FlowServer:
         cache_capacity: int = 1024,
         parallel: ParallelConfig | None = None,
         rng: np.random.Generator | int | None = 0,
-        refresh: Literal["rebuild", "reuse", "incremental"] = "rebuild",
+        refresh: Literal["rebuild", "incremental"] = "rebuild",
         deadline: float | None = None,
         breaker_threshold: int = 3,
     ) -> None:
@@ -218,10 +214,9 @@ class FlowServer:
             raise GraphError(
                 f"solver must be one of {sorted(_SOLVERS)}, got {solver!r}"
             )
-        if refresh not in ("rebuild", "reuse", "incremental"):
+        if refresh not in ("rebuild", "incremental"):
             raise GraphError(
-                "refresh must be 'rebuild', 'reuse' or 'incremental', "
-                f"got {refresh!r}"
+                f"refresh must be 'rebuild' or 'incremental', got {refresh!r}"
             )
         eps = float(epsilon)
         if not 0 < eps <= 1:
@@ -320,16 +315,11 @@ class FlowServer:
         else:
             self._cache.sync_epoch(version)
             self._warm_seeds = {}
-            if self.refresh in ("rebuild", "incremental"):
-                self.approximator = build_congestion_approximator(
-                    self.graph, rng=self._rng, parallel=self.parallel
-                )
-                self._rebuilds += 1
-                self._pool.rebind(self.graph, self.approximator)
-            elif structural:
-                # Stale approximator kept by policy, but the m-shaped
-                # workspaces cannot survive an edge-count change.
-                self._pool.rebind(self.graph, self.approximator)
+            self.approximator = build_congestion_approximator(
+                self.graph, rng=self._rng, parallel=self.parallel
+            )
+            self._rebuilds += 1
+            self._pool.rebind(self.graph, self.approximator)
         self._epoch = version
         self._edge_count = self.graph.num_edges
 

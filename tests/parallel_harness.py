@@ -33,10 +33,10 @@ SEEDS = (101, 202, 303)
 SHARD_COUNTS = (2, 3, 4)
 BACKENDS = ("serial", "thread")
 
-#: name -> graph factory. Sizes chosen so every instance is beyond
-#: TINY_GRAPH_LIMIT (the graph kernels take their array paths) while
-#: the whole matrix stays fast; ``min_size=0`` configs force sharding
-#: regardless.
+#: name -> graph factory. Small enough that the whole matrix stays
+#: fast (all lie below TINY_GRAPH_LIMIT, e.g. torus(8, 8) has
+#: n + 2m = 320, so SplitGraph grows its balls with the heap engine);
+#: ``min_size=0`` configs force the sharded kernels regardless of size.
 GENERATORS = {
     "random": lambda seed: random_connected(72, 0.08, rng=seed),
     "grid": lambda seed: grid(9, 9, rng=seed),

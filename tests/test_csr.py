@@ -10,7 +10,10 @@ cached views invalidated by structural mutation, written through by
 
 from __future__ import annotations
 
+import json
+import sys
 from collections import deque
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,7 +22,18 @@ import repro.graphs.graph as graph_mod
 from repro.graphs import kernels
 from repro.graphs.csr import build_csr
 from repro.graphs.graph import Graph
+from repro.graphs.trees import (
+    RootedTree,
+    average_stretch,
+    bfs_tree,
+    induced_cut_capacities,
+    weighted_average_stretch,
+)
+from repro.lsst.partition import partition
 from repro.lsst.split_graph import split_graph
+
+
+SUBSTRATE_FIXTURE = Path(__file__).parent / "fixtures" / "substrate_golden.json"
 
 
 def random_multigraph(seed: int, max_nodes: int = 40) -> Graph:
@@ -242,42 +256,134 @@ class TestKernelGoldenEquivalence:
 
 
 # ----------------------------------------------------------------------
-# Adaptive paths agree (Python small-instance path vs NumPy path)
+# Recorded substrate outputs (the survivors of the deleted Python twins)
 # ----------------------------------------------------------------------
+def contract_record(g: Graph, labels, keep_parallel: bool) -> dict:
+    quotient, origin = g.contract(labels, keep_parallel=keep_parallel)
+    tails, heads = quotient.edge_index_arrays()
+    return {
+        "num_nodes": quotient.num_nodes,
+        "tails": tails.tolist(),
+        "heads": heads.tolist(),
+        "capacities": quotient.capacities().tolist(),
+        "origin": origin,
+    }
+
+
+def random_tree(seed: int, n: int) -> RootedTree:
+    """A random rooted tree on ``n`` nodes (node v hangs below some u < v)."""
+    rng = np.random.default_rng(1000 + seed)
+    parent = [-1] + [int(rng.integers(0, v)) for v in range(1, n)]
+    return RootedTree(parent)
+
+
+def substrate_record(seed: int) -> dict:
+    """Every fixture value for ``random_multigraph(seed)``."""
+    g = random_multigraph(seed)
+    n, m = g.num_nodes, g.num_edges
+    rng = np.random.default_rng(seed)
+    mod3 = [v % 3 for v in range(n)]
+    labels = rng.integers(-5, 8, size=n).tolist()
+    tree = random_tree(seed, n)
+    edge_length = rng.uniform(0.5, 4.0, size=m)
+    tree_edge_length = rng.uniform(0.5, 4.0, size=n)
+    edge_class = rng.integers(1, 4, size=m)
+    split = partition(g, edge_class, 2, 3, rng=seed)
+    connected = g.is_connected()
+    return {
+        "bfs_distances": g.bfs_distances(0),
+        "connected_components": g.connected_components(),
+        "is_connected": connected,
+        "diameter": g.diameter() if connected else None,
+        "contract_parallel": contract_record(g, mod3, True),
+        "contract_merged": contract_record(g, mod3, False),
+        "contract_labels_merged": contract_record(g, labels, False),
+        "node_map_after_contract": g.node_map_after_contract(labels),
+        "induced_cut_capacities": induced_cut_capacities(g, tree).tolist(),
+        "average_stretch": average_stretch(g, tree),
+        "weighted_average_stretch": weighted_average_stretch(
+            g, tree, edge_length, tree_edge_length
+        ),
+        "partition_cut_fractions": split.cut_fraction_per_class,
+        "partition_restarts": split.restarts,
+        "partition_cluster": split.split.cluster,
+    }
+
+
+@pytest.fixture(scope="module")
+def substrate_golden():
+    return json.loads(SUBSTRATE_FIXTURE.read_text())
+
+
 class TestAdaptivePathsAgree:
+    """The substrate's traversals, contraction, cut and stretch measures
+    and partition counting, pinned to ``tests/fixtures/substrate_golden.json``.
+
+    The fixture was recorded while each of these still had a Python-loop
+    twin on graphs this small, and both twins agreed on every value
+    (the weighted average stretch to 5.3e-16 relative; the array value
+    is recorded). The array paths must keep reproducing it exactly;
+    SplitGraph's two live engines are compared directly. Regenerate (only on
+    a deliberate re-baseline, recorded in CHANGES.md) from the
+    repository root::
+
+        PYTHONPATH=src:tests python tests/test_csr.py --write
+    """
+
     @pytest.mark.parametrize("seed", range(10))
-    def test_graph_traversals_agree_across_paths(self, seed, monkeypatch):
+    def test_graph_traversals_agree_across_paths(self, seed, substrate_golden):
+        want = substrate_golden[str(seed)]
         g = random_multigraph(seed)
-        small_bfs = g.bfs_distances(0)
-        small_cc = g.connected_components()
-        small_conn = g.is_connected()
-        monkeypatch.setattr(graph_mod, "SMALL_GRAPH_LIMIT", 0)
-        g2 = random_multigraph(seed)
-        assert g2.bfs_distances(0) == small_bfs
-        assert g2.connected_components() == small_cc
-        assert g2.is_connected() == small_conn
+        assert g.bfs_distances(0) == want["bfs_distances"]
+        assert g.connected_components() == want["connected_components"]
+        assert g.is_connected() == want["is_connected"]
+        if want["is_connected"]:
+            assert g.diameter() == want["diameter"]
+            assert bfs_tree(g).parent == reference_bfs_parents(g, 0)[1]
 
     @pytest.mark.parametrize("seed", range(10))
     def test_split_graph_agrees_across_paths(self, seed, monkeypatch):
+        """The two live SplitGraph engines (heap below TINY_GRAPH_LIMIT,
+        frontier above) produce the same decomposition."""
         g = random_multigraph(seed)
-        small = split_graph(g, 3, rng=np.random.default_rng(seed))
-        monkeypatch.setattr(graph_mod, "SMALL_GRAPH_LIMIT", 0)
-        g2 = random_multigraph(seed)
-        large = split_graph(g2, 3, rng=np.random.default_rng(seed))
-        assert small == large
-
-    @pytest.mark.parametrize("seed", range(10))
-    def test_contract_agrees_across_tiny_threshold(self, seed, monkeypatch):
-        g = random_multigraph(seed)
-        labels = [v % 3 for v in range(g.num_nodes)]
-        tiny_q, tiny_o = g.contract(labels, keep_parallel=False)
+        assert g.is_tiny()
+        heap = split_graph(g, 3, rng=np.random.default_rng(seed))
         monkeypatch.setattr(graph_mod, "TINY_GRAPH_LIMIT", 0)
         g2 = random_multigraph(seed)
-        np_q, np_o = g2.contract(labels, keep_parallel=False)
-        assert tiny_o == np_o
-        assert [
-            (e.u, e.v, pytest.approx(e.capacity)) for e in tiny_q.edges()
-        ] == [(e.u, e.v, pytest.approx(e.capacity)) for e in np_q.edges()]
+        assert not g2.is_tiny()
+        frontier = split_graph(g2, 3, rng=np.random.default_rng(seed))
+        assert heap == frontier
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_contract_agrees_across_tiny_threshold(self, seed, substrate_golden):
+        want = substrate_golden[str(seed)]
+        g = random_multigraph(seed)
+        rng = np.random.default_rng(seed)
+        mod3 = [v % 3 for v in range(g.num_nodes)]
+        labels = rng.integers(-5, 8, size=g.num_nodes).tolist()
+        assert contract_record(g, mod3, True) == want["contract_parallel"]
+        assert contract_record(g, mod3, False) == want["contract_merged"]
+        assert (
+            contract_record(g, labels, False) == want["contract_labels_merged"]
+        )
+        assert g.node_map_after_contract(labels) == (
+            want["node_map_after_contract"]
+        )
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_tree_measures_match_fixture(self, seed, substrate_golden):
+        """Induced cuts, both average stretches and partition counting."""
+        full = substrate_record(seed)
+        want = substrate_golden[str(seed)]
+        for key in (
+            "induced_cut_capacities",
+            "average_stretch",
+            "weighted_average_stretch",
+            "partition_cut_fractions",
+            "partition_restarts",
+            "partition_cluster",
+        ):
+            assert full[key] == want[key], key
 
 
 # ----------------------------------------------------------------------
@@ -367,7 +473,8 @@ class TestQuotientCacheSeeding:
     def _contract(self, seed, monkeypatch=None, tiny=False):
         g = random_multigraph(seed, max_nodes=30)
         if monkeypatch is not None:
-            # Force the desired dispatch path regardless of size.
+            # Put the graph on either side of the size switch: contraction
+            # has one path, so its quotient caches must not care.
             limit = 10**9 if tiny else 0
             monkeypatch.setattr(graph_mod, "TINY_GRAPH_LIMIT", limit)
         labels = [v % 4 for v in range(g.num_nodes)]
@@ -459,3 +566,16 @@ class TestInt32Substrate:
 
         with pytest.raises(GraphError, match="int32"):
             Graph(2**31)
+
+
+def write_fixture(path: Path = SUBSTRATE_FIXTURE) -> None:
+    data = {str(seed): substrate_record(seed) for seed in range(10)}
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--write"]:
+        sys.exit(f"usage: {sys.argv[0]} --write")
+    write_fixture()
+    print(f"wrote {SUBSTRATE_FIXTURE}")

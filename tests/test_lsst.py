@@ -228,3 +228,18 @@ class TestStretchHelpers:
         summary = summarize_stretch(g, result.tree)
         assert set(summary) == {"average", "max", "capacity_weighted"}
         assert summary["max"] >= summary["average"] >= 1.0
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_stretch_per_edge_matches_scalar_path_length(self, seed):
+        rng = np.random.default_rng(seed)
+        g = random_connected(60, 0.08, rng=seed)
+        lengths = rng.uniform(0.5, 4.0, size=g.num_edges)
+        tree = akpw_spanning_tree(g, lengths=lengths, rng=seed).tree
+        tree_lengths = tree_edge_lengths(g, tree, lengths)
+        want = [
+            tree.path_length(e.u, e.v, tree_lengths) / lengths[e.id]
+            for e in g.edges()
+        ]
+        np.testing.assert_allclose(
+            stretch_per_edge(g, tree, lengths), want, rtol=1e-12, atol=0.0
+        )

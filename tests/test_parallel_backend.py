@@ -22,7 +22,7 @@ from repro.core.maxflow import max_flow, min_congestion_flow
 from repro.errors import GraphError
 from repro.graphs import kernels
 from repro.graphs.generators import random_connected
-from repro.graphs.graph import SMALL_GRAPH_LIMIT
+from repro.graphs.graph import TINY_GRAPH_LIMIT
 from repro.parallel import (
     BfsShardState,
     ParallelConfig,
@@ -179,7 +179,9 @@ class TestParallelConfig:
         assert not config.should_shard(1 << 30)
 
     def test_min_size_matches_substrate_threshold(self):
-        assert DEFAULT_MIN_SIZE == SMALL_GRAPH_LIMIT
+        """A graph small enough to take a Python engine is never
+        sharded by default."""
+        assert DEFAULT_MIN_SIZE >= TINY_GRAPH_LIMIT
 
     def test_should_shard_thresholds(self):
         config = ParallelConfig(workers=2, backend="thread", min_size=100)

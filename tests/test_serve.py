@@ -11,8 +11,9 @@ The serving layer's contracts under test:
   once** per mutation, and an old-epoch result is never served;
 * the warm workspace pool actually reuses workspaces and drops
   stale-shaped ones on rebind;
-* the ``refresh="reuse"`` policy keeps the stale approximator (no
-  rebuild) while still dropping cached results.
+* only the ``"rebuild"`` and ``"incremental"`` refresh policies exist:
+  no policy serves from the stale cut capacities of a pre-mutation
+  approximator.
 """
 
 from __future__ import annotations
@@ -286,32 +287,25 @@ class TestInvalidation:
         assert server.stats().rebuilds == 1
 
     def test_reuse_policy_keeps_approximator(self, graph):
-        lazy = FlowServer(graph, epsilon=EPS, rng=602, refresh="reuse")
-        demand = st_demand(graph, 0, 9)
-        stale = lazy.route(demand)
-        before = lazy.approximator
-        caps = graph.capacities()
-        graph.set_capacity(0, float(caps[0]) * 2.0)
-        refreshed = lazy.route(demand)
-        # No rebuild, but the cache still dropped the old epoch and the
-        # answer reflects the live capacities.
-        assert lazy.approximator is before
-        assert lazy.stats().rebuilds == 0
-        assert lazy.cache_stats().invalidations == 1
-        assert refreshed is not stale
-        oracle = almost_route(graph, before, demand, EPS)
-        assert_arrays_identical("flow", oracle.flow, refreshed.flow)
+        """The retired stale-cut policy is rejected: its ‖Rb‖∞ lower
+        bound was unsound after a capacity increase."""
+        with pytest.raises(GraphError, match="'rebuild' or 'incremental'"):
+            FlowServer(graph, epsilon=EPS, rng=602, refresh="reuse")
 
-    def test_reuse_policy_survives_structural_mutation(self, graph):
-        lazy = FlowServer(graph, epsilon=EPS, rng=602, refresh="reuse")
-        lazy.route(st_demand(graph, 0, 9))
-        graph.add_edge(1, graph.num_nodes - 2, 1.0)
-        # The stale approximator's row space is still n-shaped, so
-        # routing on the grown edge set keeps working (m-shaped
-        # workspaces were flushed by the structural rebind).
-        result = lazy.route(st_demand(graph, 0, 9))
-        assert result.flow.shape == (graph.num_edges,)
-        assert lazy.stats().rebuilds == 0
+    def test_reuse_policy_survives_structural_mutation(self):
+        """``add_edge`` rebuilds once under both live policies and the
+        next answer is shaped for the grown edge set."""
+        for refresh in ("rebuild", "incremental"):
+            graph = random_connected(40, 0.12, rng=601)
+            lazy = FlowServer(graph, epsilon=EPS, rng=602, refresh=refresh)
+            lazy.route(st_demand(graph, 0, 9))
+            before = lazy.approximator
+            graph.add_edge(1, graph.num_nodes - 2, 1.0)
+            result = lazy.route(st_demand(graph, 0, 9))
+            assert result.flow.shape == (graph.num_edges,), refresh
+            assert lazy.approximator is not before, refresh
+            assert lazy.stats().rebuilds == 1, refresh
+            assert lazy.stats().incremental_refreshes == 0, refresh
 
 
 # ----------------------------------------------------------------------

@@ -5,7 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import repro.graphs.trees as trees_mod
 from repro.errors import TreeError
+from repro.graphs.generators import random_connected
 from repro.graphs.graph import Graph
 from repro.graphs.trees import (
     RootedTree,
@@ -15,6 +17,7 @@ from repro.graphs.trees import (
     spanning_tree_from_edges,
     tree_route_demand,
 )
+from repro.parallel import ParallelConfig, use_config
 
 
 def path_tree(n: int) -> RootedTree:
@@ -151,6 +154,67 @@ class TestConstruction:
         g = Graph(4, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0), (2, 3, 1.0)])
         with pytest.raises(TreeError):
             spanning_tree_from_edges(g, [0, 1, 2])  # leaves node 3 out
+
+
+def random_spanning_edges(graph: Graph, rng: np.random.Generator) -> list[int]:
+    """Edge ids of a random spanning tree (Kruskal over a shuffled
+    edge order, union-find with path halving)."""
+    root = list(range(graph.num_nodes))
+
+    def find(v: int) -> int:
+        while root[v] != v:
+            root[v] = root[root[v]]
+            v = root[v]
+        return v
+
+    tails, heads = graph.edge_index_arrays()
+    chosen = []
+    for eid in rng.permutation(graph.num_edges).tolist():
+        a, b = find(int(tails[eid])), find(int(heads[eid]))
+        if a != b:
+            root[a] = b
+            chosen.append(eid)
+    return chosen
+
+
+class TestSpanningTreeEngines:
+    def test_spanning_tree_engines_agree(self, monkeypatch):
+        """The Python BFS (tree n + 2(n-1) below TINY_GRAPH_LIMIT) and
+        the frontier kernel (at or above it) build identical parents,
+        also with the kernel sharded, and reject the same edge sets."""
+        forced_shard = ParallelConfig(workers=2, backend="thread", min_size=0)
+
+        def python_engine(graph, ids, root=0):
+            monkeypatch.setattr(trees_mod, "TINY_GRAPH_LIMIT", 10**9)
+            return spanning_tree_from_edges(graph, ids, root=root)
+
+        def array_engine(graph, ids, root=0):
+            monkeypatch.setattr(trees_mod, "TINY_GRAPH_LIMIT", 0)
+            return spanning_tree_from_edges(graph, ids, root=root)
+
+        for seed, n in enumerate((2, 9, 40, 150, 700)):
+            rng = np.random.default_rng(seed)
+            graph = random_connected(n, 0.05, rng=seed)
+            for _ in range(3):
+                ids = random_spanning_edges(graph, rng)
+                root = int(rng.integers(n))
+                want = python_engine(graph, ids, root).parent
+                assert array_engine(graph, ids, root).parent == want
+                with use_config(forced_shard):
+                    assert array_engine(graph, ids, root).parent == want
+
+        graph = Graph(
+            5,
+            [(0, 1, 1.0), (1, 2, 1.0), (2, 0, 1.0), (2, 3, 1.0), (3, 4, 1.0)],
+        )
+        short = [0, 3, 4]
+        cyclic = [0, 1, 2, 3]  # triangle 0-1-2 plus 2-3: node 4 left out
+        non_spanning = [0, 3, 3, 4]  # 2-3 twice: {0, 1} never meets {2, 3, 4}
+        for engine in (python_engine, array_engine):
+            for ids in (short, cyclic, non_spanning):
+                with pytest.raises(TreeError):
+                    engine(graph, ids)
+            assert engine(graph, [0, 1, 3, 4]).parent == [-1, 0, 1, 2, 3]
 
 
 class TestInducedCuts:
